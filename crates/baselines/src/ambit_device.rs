@@ -3,7 +3,12 @@
 //! [`Elp2imDevice`](elp2im_core::device::Elp2imDevice), so workloads can
 //! run functionally on either design and their substrate statistics can be
 //! compared one-to-one (the cross-design checks live in the workspace
-//! integration tests).
+//! integration tests). Both count commands, wordline activations, busy
+//! time and dynamic energy per command. The ELP2IM device is a
+//! one-subarray view of [`DeviceArray`](elp2im_core::batch::DeviceArray)
+//! and takes them from the batch scheduler, which also stamps a makespan
+//! (equal to the busy time) and background energy; the Ambit engine
+//! records only the per-command terms.
 
 use crate::ambit::{AmbitEngine, AmbitError};
 use elp2im_core::bitvec::BitVec;

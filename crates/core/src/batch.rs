@@ -1,9 +1,10 @@
 //! Bank-parallel batch execution over a whole module.
 //!
-//! [`DeviceArray`] is the batch counterpart of
-//! [`Elp2imModule`](crate::module::Elp2imModule): it shards bulk bitwise
+//! [`DeviceArray`] is the crate's one executor: it shards bulk bitwise
 //! operations across the module's banks so their primitive streams overlap
-//! on the rank. The differences are deliberate:
+//! on the rank. The single-subarray
+//! [`Elp2imDevice`](crate::device::Elp2imDevice) is a view of a 1 × 1 × 1
+//! array. Its design points:
 //!
 //! * **Placement is channel-major.** A vector's row-sized stripes walk
 //!   the topology's parallelism hierarchy most-independent-level first:
@@ -56,7 +57,7 @@ use elp2im_dram::hierarchy::HierarchicalScheduler;
 use elp2im_dram::interleave::Schedule;
 use elp2im_dram::stats::RunStats;
 use elp2im_dram::telemetry::{MetricsRegistry, TraceSink};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Batch-layer configuration.
@@ -137,11 +138,11 @@ impl BatchEntry {
     /// injection) goes through this one bounds-checked mapping.
     fn locate(&self, bit: usize, row_bits: usize) -> Result<(Stripe, usize), CoreError> {
         if bit >= self.len {
-            return Err(CoreError::InvalidHandle(bit));
+            return Err(CoreError::WidthMismatch { expected: self.len, got: bit + 1 });
         }
-        let stripe =
-            self.stripes.get(bit / row_bits).copied().ok_or(CoreError::InvalidHandle(bit))?;
-        Ok((stripe, bit % row_bits))
+        // `store` lays down `len.div_ceil(row_bits)` stripes, so any
+        // in-range bit has one.
+        Ok((self.stripes[bit / row_bits], bit % row_bits))
     }
 }
 
@@ -343,6 +344,25 @@ impl DeviceArray {
         &self.totals
     }
 
+    /// Clears the cumulative statistics.
+    pub fn reset_stats(&mut self) {
+        self.totals = RunStats::new();
+    }
+
+    /// Allocated data rows across every subarray.
+    pub fn live_rows(&self) -> usize {
+        self.banks.iter().flat_map(|u| &u.allocs).map(RowAllocator::live).sum()
+    }
+
+    /// Logical bit length of a stored vector.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidHandle`] for dead handles.
+    pub fn length(&self, h: BatchHandle) -> Result<usize, CoreError> {
+        Ok(self.entry(h)?.len)
+    }
+
     /// The stripe placement of a stored vector, in stripe order.
     ///
     /// # Errors
@@ -537,8 +557,8 @@ impl DeviceArray {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidHandle`] for dead handles or a `bit` beyond the
-    /// vector's length.
+    /// [`CoreError::InvalidHandle`] for dead handles;
+    /// [`CoreError::WidthMismatch`] for a `bit` beyond the vector's length.
     pub fn element(&self, h: BatchHandle, bit: usize) -> Result<bool, CoreError> {
         let (s, column) = self.entry(h)?.locate(bit, self.row_bits())?;
         self.banks[s.bank].engines[s.subarray].bit(RowRef::Data(s.row), column)
@@ -573,8 +593,8 @@ impl DeviceArray {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidHandle`] for dead handles or a `bit` beyond the
-    /// vector's length.
+    /// [`CoreError::InvalidHandle`] for dead handles;
+    /// [`CoreError::WidthMismatch`] for a `bit` beyond the vector's length.
     pub fn inject_bit_error(&mut self, h: BatchHandle, bit: usize) -> Result<Stripe, CoreError> {
         let (s, column) = self.entry(h)?.locate(bit, self.row_bits())?;
         self.banks[s.bank].engines[s.subarray].inject_bit_error(RowRef::Data(s.row), column)?;
@@ -745,7 +765,44 @@ impl DeviceArray {
         results.into_iter().collect()
     }
 
+    /// Returns to their free lists the rows a failed operation had
+    /// allocated but never handed out: every allocated row, in the
+    /// subarrays `a` spans, that no live vector owns. Runs on error paths
+    /// only.
+    fn reclaim_orphans(&mut self, a: BatchHandle) {
+        let Ok(ea) = self.entry(a) else { return };
+        let spans: BTreeSet<(usize, usize)> =
+            ea.stripes.iter().map(|s| (s.bank, s.subarray)).collect();
+        let owned: BTreeSet<(usize, usize, usize)> = self
+            .vectors
+            .iter()
+            .flatten()
+            .flat_map(|e| e.stripes.iter().map(|s| (s.bank, s.subarray, s.row)))
+            .collect();
+        for (bank, subarray) in spans {
+            let alloc = &mut self.banks[bank].allocs[subarray];
+            for row in 0..alloc.capacity() {
+                if alloc.is_allocated(row) && !owned.contains(&(bank, subarray, row)) {
+                    let _ = alloc.free(row);
+                }
+            }
+        }
+    }
+
     fn run_op(
+        &mut self,
+        op: LogicOp,
+        a: BatchHandle,
+        b: Option<BatchHandle>,
+    ) -> Result<(BatchHandle, BatchRun), CoreError> {
+        let result = self.try_run_op(op, a, b);
+        if result.is_err() {
+            self.reclaim_orphans(a);
+        }
+        result
+    }
+
+    fn try_run_op(
         &mut self,
         op: LogicOp,
         a: BatchHandle,
@@ -823,7 +880,8 @@ impl DeviceArray {
         a: BatchHandle,
         b: Option<BatchHandle>,
     ) -> Result<BatchPlan, CoreError> {
-        let (entry, _work, _streams) = self.prepare(op, a, b)?;
+        let (entry, _work, _streams) =
+            self.prepare(op, a, b).inspect_err(|_| self.reclaim_orphans(a))?;
         for s in entry.stripes {
             self.banks[s.bank].allocs[s.subarray].free(s.row)?;
         }
@@ -1113,6 +1171,25 @@ mod tests {
     }
 
     #[test]
+    fn failed_op_returns_every_destination_row() {
+        // LowLatency XOR needs a reserved row: compilation fails after the
+        // first stripe's destination row was allocated.
+        let mut m = DeviceArray::new(BatchConfig {
+            topology: Topology::module(tiny_geometry(4)),
+            reserved_rows: 0,
+            mode: CompileMode::LowLatency,
+            budget: PumpBudget::unconstrained(),
+        });
+        let bits = m.row_bits() * 6;
+        let a = m.store(&pattern(bits, 2)).unwrap();
+        let b = m.store(&pattern(bits, 3)).unwrap();
+        let live = m.live_rows();
+        assert!(m.binary(LogicOp::Xor, a, b).is_err());
+        assert!(m.plan(LogicOp::Xor, a, Some(b)).is_err());
+        assert_eq!(m.live_rows(), live);
+    }
+
+    #[test]
     fn dead_handle_errors() {
         let mut m = small(2);
         let h = m.store(&BitVec::ones(4)).unwrap();
@@ -1131,7 +1208,10 @@ mod tests {
         for i in 0..bits {
             assert_eq!(m.element(h, i).unwrap(), loaded.get(i), "bit {i}");
         }
-        assert!(matches!(m.element(h, bits), Err(CoreError::InvalidHandle(_))));
+        assert!(matches!(
+            m.element(h, bits),
+            Err(CoreError::WidthMismatch { expected, got }) if expected == bits && got == bits + 1
+        ));
         m.release(h).unwrap();
         assert!(matches!(m.element(h, 0), Err(CoreError::InvalidHandle(_))));
     }

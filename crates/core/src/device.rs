@@ -1,20 +1,22 @@
 //! The user-facing bulk bitwise device.
 //!
-//! [`Elp2imDevice`] wraps one functional subarray with a row allocator and
-//! the operation compiler: `store` bit vectors, combine them with
-//! `and`/`or`/`xor`/…, `load` results, and read the accumulated substrate
-//! statistics (commands, latency, energy, wordline activations).
+//! [`Elp2imDevice`] is one functional subarray: `store` bit vectors,
+//! combine them with `and`/`or`/`xor`/…, `load` results, and read the
+//! accumulated substrate statistics (commands, latency, energy, wordline
+//! activations). It is a view of a [`DeviceArray`] with a 1 × 1 × 1
+//! topology (one channel, rank, bank and subarray) and no pump budget, so
+//! every operation runs through the batch executor's compile, allocate,
+//! execute and fault-injection path.
 
+use crate::batch::{BatchConfig, BatchHandle, DeviceArray};
 use crate::bitvec::BitVec;
-use crate::compile::{compile, CompileMode, LogicOp, Operands};
+use crate::compile::{CompileMode, LogicOp};
 use crate::error::CoreError;
-use crate::faulty::{ColumnFaultModel, FaultPolicy, FaultyEngine};
-#[cfg(debug_assertions)]
-use crate::primitive::RowRef;
-use crate::rowmap::RowAllocator;
+use crate::faulty::{ColumnFaultModel, FaultPolicy};
+use elp2im_dram::constraint::PumpBudget;
+use elp2im_dram::geometry::{Geometry, Topology};
 use elp2im_dram::stats::RunStats;
 use elp2im_dram::telemetry::MetricsRegistry;
-use std::collections::HashMap;
 
 /// Configuration of an [`Elp2imDevice`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +45,7 @@ impl Default for DeviceConfig {
 
 /// Handle to a stored row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RowHandle(usize);
+pub struct RowHandle(BatchHandle);
 
 /// A bulk bitwise processing-in-memory device.
 ///
@@ -64,20 +66,7 @@ pub struct RowHandle(usize);
 #[derive(Debug)]
 pub struct Elp2imDevice {
     config: DeviceConfig,
-    /// Fault-injection capable engine; a pass-through wrapper over
-    /// [`SubarrayEngine`](crate::engine::SubarrayEngine) until
-    /// [`Elp2imDevice::set_fault_model`] installs a model.
-    engine: FaultyEngine,
-    alloc: RowAllocator,
-    /// Handle → (row index, logical bit length).
-    handles: HashMap<usize, (usize, usize)>,
-    next_handle: usize,
-    /// One data row kept aside as compiler scratch (XOR sequence 1 only).
-    scratch_row: usize,
-    /// Memoizes static-analysis verdicts for repeated op/row patterns.
-    analysis_cache: crate::analysis::AnalysisCache,
-    /// Retry/verify accounting of [`Elp2imDevice::binary_checked`].
-    reliability: MetricsRegistry,
+    array: DeviceArray,
 }
 
 /// The outcome of a fault-aware checked operation
@@ -94,59 +83,59 @@ pub struct CheckedOp {
 }
 
 impl Elp2imDevice {
-    /// Creates a device.
+    /// Creates a device. One data row is held back, so `data_rows - 1`
+    /// rows are usable.
     ///
     /// # Panics
     ///
     /// Panics if the configuration has zero width or fewer than two data
-    /// rows (one is reserved for compiler scratch).
+    /// rows.
     pub fn new(config: DeviceConfig) -> Self {
         assert!(config.width > 0, "row width must be positive");
         assert!(config.data_rows >= 2, "need at least two data rows");
-        let engine = FaultyEngine::new(config.width, config.data_rows, config.reserved_rows);
-        // The last data row is the compiler's scratch.
-        let scratch_row = config.data_rows - 1;
-        let alloc = RowAllocator::new(config.data_rows - 1);
-        Elp2imDevice {
-            config,
-            engine,
-            alloc,
-            handles: HashMap::new(),
-            next_handle: 0,
-            scratch_row,
-            analysis_cache: crate::analysis::AnalysisCache::new(),
-            reliability: MetricsRegistry::new(),
-        }
+        let geometry = Geometry {
+            banks: 1,
+            subarrays_per_bank: 1,
+            rows_per_subarray: config.data_rows - 1,
+            row_bytes: config.width.div_ceil(8),
+        };
+        let array = DeviceArray::new(BatchConfig {
+            topology: Topology::module(geometry),
+            reserved_rows: config.reserved_rows,
+            mode: config.mode,
+            budget: PumpBudget::unconstrained(),
+        });
+        Elp2imDevice { config, array }
     }
 
     /// Installs (or clears) a per-column fault model: computed result rows
-    /// pick up bit flips per the model from now on (see
-    /// [`FaultyEngine`]).
+    /// pick up bit flips per the model from now on (see [`crate::faulty`]).
     pub fn set_fault_model(&mut self, model: Option<ColumnFaultModel>) {
-        self.engine.set_fault_model(model);
+        self.array.set_fault_models(vec![model]);
     }
 
     /// The installed fault model, if any.
     pub fn fault_model(&self) -> Option<&ColumnFaultModel> {
-        self.engine.fault_model()
+        self.array.fault_model(0)
     }
 
     /// Bits flipped by fault injection so far.
     pub fn injected_flips(&self) -> u64 {
-        self.engine.injected_flips()
+        self.array.injected_flips()
     }
 
     /// Retry/verify counters of [`Elp2imDevice::binary_checked`]:
     /// `checked_ops`, `verify_recomputes`, `verify_mismatches`, `retries`,
     /// `retries_exhausted`.
     pub fn reliability_metrics(&self) -> &MetricsRegistry {
-        &self.reliability
+        self.array.reliability_metrics()
     }
 
     /// Fault-aware `op(a, b)`: like [`Elp2imDevice::binary`], but when a
     /// nontrivial fault model is installed and `policy.verify` is set, the
     /// result is verified by recomputing and comparing, retrying up to
-    /// `policy.max_retries` rounds on mismatch. With a clean engine the
+    /// `policy.max_retries` rounds on mismatch (see
+    /// [`DeviceArray::binary_checked`]). With a clean engine the
     /// verification is skipped — the selective half of the fault-aware
     /// policy. Recompute/retry time accrues in [`Elp2imDevice::stats`].
     ///
@@ -160,32 +149,12 @@ impl Elp2imDevice {
         b: RowHandle,
         policy: &FaultPolicy,
     ) -> Result<CheckedOp, CoreError> {
-        self.reliability.bump("checked_ops", 1);
-        let at_risk = self.engine.fault_model().is_some_and(|m| !m.is_trivial());
-        if !policy.verify || !at_risk {
-            let handle = self.binary(op, a, b)?;
-            return Ok(CheckedOp { handle, attempts: 1, verified: false });
-        }
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let h1 = self.binary(op, a, b)?;
-            let h2 = self.binary(op, a, b)?;
-            self.reliability.bump("verify_recomputes", 1);
-            let agree = self.load(h1)? == self.load(h2)?;
-            self.release(h2)?;
-            if agree {
-                return Ok(CheckedOp { handle: h1, attempts, verified: true });
-            }
-            self.reliability.bump("verify_mismatches", 1);
-            self.release(h1)?;
-            if attempts > policy.max_retries {
-                self.reliability.bump("retries_exhausted", 1);
-                let handle = self.binary(op, a, b)?;
-                return Ok(CheckedOp { handle, attempts: attempts + 1, verified: false });
-            }
-            self.reliability.bump("retries", 1);
-        }
+        let run = self.array.binary_checked(op, a.0, b.0, policy)?;
+        Ok(CheckedOp {
+            handle: RowHandle(run.handle),
+            attempts: run.attempts,
+            verified: run.verified,
+        })
     }
 
     /// The configuration in use.
@@ -194,23 +163,20 @@ impl Elp2imDevice {
     }
 
     /// Accumulated substrate statistics (PIM commands only; host stores and
-    /// loads are free).
+    /// loads are free). One subarray executes serially, so the makespan
+    /// equals the busy time.
     pub fn stats(&self) -> &RunStats {
-        self.engine.stats()
+        self.array.stats()
     }
 
     /// Clears the statistics counters.
     pub fn reset_stats(&mut self) {
-        self.engine.reset_stats();
+        self.array.reset_stats();
     }
 
     /// Number of live rows.
     pub fn live_rows(&self) -> usize {
-        self.alloc.live()
-    }
-
-    fn lookup(&self, h: RowHandle) -> Result<(usize, usize), CoreError> {
-        self.handles.get(&h.0).copied().ok_or(CoreError::InvalidHandle(h.0))
+        self.array.live_rows()
     }
 
     /// Stores a bit vector into a fresh row.
@@ -223,13 +189,7 @@ impl Elp2imDevice {
         if value.len() > self.config.width {
             return Err(CoreError::WidthMismatch { expected: self.config.width, got: value.len() });
         }
-        let row = self.alloc.alloc()?;
-        // Zero-pads the tail columns in the row arena directly.
-        self.engine.write_row_from(row, value, 0)?;
-        let h = self.next_handle;
-        self.next_handle += 1;
-        self.handles.insert(h, (row, value.len()));
-        Ok(RowHandle(h))
+        self.array.store(value).map(RowHandle)
     }
 
     /// Logical bit length of a stored row.
@@ -238,7 +198,7 @@ impl Elp2imDevice {
     ///
     /// [`CoreError::InvalidHandle`] for a dead handle.
     pub fn length(&self, h: RowHandle) -> Result<usize, CoreError> {
-        self.lookup(h).map(|(_, len)| len)
+        self.array.length(h.0)
     }
 
     /// Loads a row back, trimmed to its original length.
@@ -247,10 +207,7 @@ impl Elp2imDevice {
     ///
     /// [`CoreError::InvalidHandle`] for a dead handle.
     pub fn load(&self, h: RowHandle) -> Result<BitVec, CoreError> {
-        let (row, len) = self.lookup(h)?;
-        let mut out = BitVec::zeros(len);
-        self.engine.read_row_into(row, &mut out, 0)?;
-        Ok(out)
+        self.array.load(h.0)
     }
 
     /// Frees a row.
@@ -259,9 +216,7 @@ impl Elp2imDevice {
     ///
     /// [`CoreError::InvalidHandle`] for a dead handle.
     pub fn release(&mut self, h: RowHandle) -> Result<(), CoreError> {
-        let (row, _) = self.lookup(h)?;
-        self.handles.remove(&h.0);
-        self.alloc.free(row)
+        self.array.release(h.0)
     }
 
     /// Executes `op` over `a` and `b` into a fresh destination row.
@@ -275,76 +230,7 @@ impl Elp2imDevice {
         a: RowHandle,
         b: RowHandle,
     ) -> Result<RowHandle, CoreError> {
-        let (ra, la) = self.lookup(a)?;
-        let (rb, lb) = self.lookup(b)?;
-        if la != lb {
-            return Err(CoreError::WidthMismatch { expected: la, got: lb });
-        }
-        let dst = self.alloc.alloc()?;
-        let rows = Operands { a: ra, b: rb, dst, scratch: Some(self.scratch_row) };
-        let prog = match compile(op, self.config.mode, rows, self.config.reserved_rows) {
-            Ok(p) => p,
-            Err(e) => {
-                let _ = self.alloc.free(dst);
-                return Err(e);
-            }
-        };
-        // Debug builds run the plan-level verifier over the one-step plan
-        // this operation forms, with the handle map as the live set — the
-        // same borrow-checking the batch layer gets, at device scope.
-        #[cfg(debug_assertions)]
-        if let Some(err) = self.certify_one_step(&prog) {
-            let _ = self.alloc.free(dst);
-            return Err(CoreError::PlanRejected(err));
-        }
-        if let Err(e) = self.engine.run_verified_cached(&prog, &self.analysis_cache) {
-            let _ = self.alloc.free(dst);
-            return Err(e);
-        }
-        let h = self.next_handle;
-        self.next_handle += 1;
-        self.handles.insert(h, (dst, la));
-        Ok(RowHandle(h))
-    }
-
-    /// Lifts `prog` into a one-step [`crate::planlint::BatchPlan`] over a
-    /// single-bank topology, with the handle map as the live row set, and
-    /// returns the first error the plan-level verifier finds (if any).
-    #[cfg(debug_assertions)]
-    fn certify_one_step(&self, prog: &crate::isa::Program) -> Option<String> {
-        use crate::optimizer::PhysRow;
-        use crate::planlint::{certify, BatchPlan, PlanStep};
-        use crate::validate::SubarrayShape;
-        use elp2im_dram::constraint::PumpBudget;
-        use elp2im_dram::geometry::{Geometry, Topology};
-
-        let topology = Topology::module(Geometry {
-            banks: 1,
-            subarrays_per_bank: 1,
-            rows_per_subarray: self.config.data_rows,
-            row_bytes: self.config.width.div_ceil(8),
-        });
-        let shape =
-            SubarrayShape { data_rows: self.config.data_rows, dcc_rows: self.config.reserved_rows };
-        let mut plan = BatchPlan::new(topology, PumpBudget::unconstrained(), shape);
-        plan.timing = self.engine.timing().clone();
-        // Allocated handles that hold data are the live rows; the scratch
-        // row's residue is deliberately excluded (programs overwrite it).
-        let live: std::collections::BTreeSet<PhysRow> = self
-            .handles
-            .values()
-            .filter(|(row, _)| self.engine.is_live(RowRef::Data(*row)))
-            .map(|(row, _)| PhysRow::Data(*row))
-            .chain(self.engine.live_rows().into_iter().filter(|r| matches!(r, PhysRow::Dcc(_))))
-            .collect();
-        plan.live_in.insert((0, 0), live);
-        plan.steps.push(PlanStep {
-            unit: 0,
-            subarray: 0,
-            stream: plan.topology.path(0),
-            program: std::sync::Arc::new(prog.clone()),
-        });
-        certify(&plan).first_error().map(|d| d.to_string())
+        self.array.binary(op, a.0, b.0).map(|(h, _)| RowHandle(h))
     }
 
     /// Bulk AND into a fresh row.
@@ -402,17 +288,13 @@ impl Elp2imDevice {
     }
 
     /// Failure injection: flips one bit of a stored row (see
-    /// [`SubarrayEngine::inject_bit_error`]).
+    /// [`DeviceArray::inject_bit_error`]).
     ///
     /// # Errors
     ///
     /// Invalid handles and out-of-range columns are errors.
     pub fn inject_bit_error(&mut self, h: RowHandle, column: usize) -> Result<(), CoreError> {
-        let (row, len) = self.lookup(h)?;
-        if column >= len {
-            return Err(CoreError::WidthMismatch { expected: len, got: column + 1 });
-        }
-        self.engine.inject_bit_error(crate::primitive::RowRef::Data(row), column)
+        self.array.inject_bit_error(h.0, column).map(drop)
     }
 
     /// Bulk NOT into a fresh row.
@@ -421,24 +303,7 @@ impl Elp2imDevice {
     ///
     /// Handle and capacity errors propagate.
     pub fn not(&mut self, a: RowHandle) -> Result<RowHandle, CoreError> {
-        let (ra, la) = self.lookup(a)?;
-        let dst = self.alloc.alloc()?;
-        let rows = Operands { a: ra, b: ra, dst, scratch: Some(self.scratch_row) };
-        let prog = match compile(LogicOp::Not, self.config.mode, rows, self.config.reserved_rows) {
-            Ok(p) => p,
-            Err(e) => {
-                let _ = self.alloc.free(dst);
-                return Err(e);
-            }
-        };
-        if let Err(e) = self.engine.run_verified_cached(&prog, &self.analysis_cache) {
-            let _ = self.alloc.free(dst);
-            return Err(e);
-        }
-        let h = self.next_handle;
-        self.next_handle += 1;
-        self.handles.insert(h, (dst, la));
-        Ok(RowHandle(h))
+        self.array.not(a.0).map(|(h, _)| RowHandle(h))
     }
 }
 

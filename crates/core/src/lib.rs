@@ -24,12 +24,12 @@
 //!   e-graph saturation → minimum-latency extraction under the Table-1
 //!   cost model → truth-table translation validation.
 //! * [`rowmap`] — subarray row allocation with reserved-row bookkeeping.
-//! * [`device`] — [`device::Elp2imDevice`], the user-facing bulk bitwise
-//!   device.
-//! * [`batch`] — [`batch::DeviceArray`], the bank-parallel batch
-//!   execution engine: bank-major striping across the whole module, with
-//!   per-bank host-parallel functional simulation and interleaved
-//!   scheduling under the charge-pump budget.
+//! * [`batch`] — [`batch::DeviceArray`], the crate's one executor: the
+//!   bank-parallel batch engine, with channel-major striping across the
+//!   whole topology, per-bank host-parallel functional simulation, and
+//!   interleaved scheduling under the charge-pump budget.
+//! * [`device`] — [`device::Elp2imDevice`], the user-facing single-subarray
+//!   device: a view of a 1 × 1 × 1 [`batch::DeviceArray`].
 //! * [`planlint`] — the plan-level static verifier: interprocedural row
 //!   borrow checking, cross-stream hazard analysis, and static timing
 //!   proofs over whole batch plans before anything executes.
@@ -65,7 +65,6 @@ pub mod error;
 pub mod expr;
 pub mod faulty;
 pub mod isa;
-pub mod module;
 pub mod optimizer;
 pub mod parse;
 pub mod planlint;

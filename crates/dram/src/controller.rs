@@ -1,11 +1,15 @@
 //! Event-driven multi-bank controller with pump-constraint enforcement.
 //!
-//! The PIM layers hand per-bank command streams to the controller; it
-//! interleaves them, enforcing (a) per-bank serialization and (b) the
-//! rank-wide charge-pump budget via an exact sliding window
-//! ([`crate::constraint::PumpWindow`]). The result is the makespan, energy,
-//! and stall accounting used by the §6.3 case studies to validate the
-//! analytic parallelism estimates.
+//! The controller takes per-bank command streams and interleaves them,
+//! enforcing (a) per-bank serialization and (b) the rank-wide charge-pump
+//! budget via an exact sliding window ([`crate::constraint::PumpWindow`]),
+//! and, when enabled, periodic refresh blackouts. The result is the makespan, energy, and stall
+//! accounting the analytic parallelism estimates are checked against.
+//!
+//! No PIM execution layer drives it: the batch executor schedules through
+//! [`crate::hierarchy::HierarchicalScheduler`]. Its remaining users are the
+//! host/PIM coexistence experiment, the `apps` criterion bench, and the
+//! scheduler agreement tests.
 
 use crate::bank::BankState;
 use crate::command::CommandProfile;

@@ -1,12 +1,12 @@
 //! Compiling arbitrary Boolean expressions (§4.2.3): the median example,
-//! common-subexpression reuse, and evaluation across a whole module.
+//! common-subexpression reuse, and evaluation across a multi-bank array.
 //!
 //! Run with `cargo run --example expressions`.
 
+use elp2im::core::batch::{BatchConfig, DeviceArray};
 use elp2im::core::bitvec::BitVec;
-use elp2im::core::compile::CompileMode;
+use elp2im::core::compile::{CompileMode, LogicOp};
 use elp2im::core::expr::{compile_expr, Expr, ExprOperands};
-use elp2im::core::module::{Elp2imModule, ModuleConfig};
 use elp2im::core::optimizer::PhysRow;
 use elp2im::core::validate::{validate, SubarrayShape};
 use elp2im::dram::timing::Ddr3Timing;
@@ -39,19 +39,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         prog2.latency(&t)
     );
 
-    // Evaluate the median across a multi-bank module on wide vectors.
-    let mut module = Elp2imModule::new(ModuleConfig::default());
-    let bits = module.row_bits() * 4;
+    // Evaluate the median across a multi-bank array on wide vectors, as
+    // (A & B) | (C & (A | B)): four bulk ops, each striped over every bank.
+    let mut array = DeviceArray::new(BatchConfig::with_banks(4));
+    let bits = array.row_bits() * array.banks();
     let a: BitVec = (0..bits).map(|i| i % 2 == 0).collect();
     let b: BitVec = (0..bits).map(|i| i % 3 == 0).collect();
     let c: BitVec = (0..bits).map(|i| i % 5 == 0).collect();
-    let ha = module.store(&a)?;
-    let hb = module.store(&b)?;
-    let hc = module.store(&c)?;
-    let (result, stats) = module.eval_expr(&median, &[ha, hb, hc])?;
-    let out = module.load(result)?;
+    let ha = array.store(&a)?;
+    let hb = array.store(&b)?;
+    let hc = array.store(&c)?;
+    let (ab, _) = array.binary(LogicOp::And, ha, hb)?;
+    let (a_or_b, _) = array.binary(LogicOp::Or, ha, hb)?;
+    let (c_and, _) = array.binary(LogicOp::And, hc, a_or_b)?;
+    let (result, _) = array.binary(LogicOp::Or, ab, c_and)?;
+    let out = array.load(result)?;
+    let stats = array.stats();
     println!(
-        "\nmodule-wide median over {bits} bits: {} ones, makespan {}, {} commands",
+        "\narray-wide median over {bits} bits on {} banks: {} ones, makespan {}, {} commands",
+        array.banks(),
         out.count_ones(),
         stats.makespan,
         stats.total_commands()

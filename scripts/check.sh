@@ -61,6 +61,10 @@ cargo run -q --release -p elp2im-bench --bin perf_report -- --soak --smoke --out
 cargo run -q --release -p elp2im-bench --bin perf_report -- --check "$trace_dir/bench_007.json"
 cargo run -q --release -p elp2im-bench --bin perf_report -- --check BENCH_007.json
 
+echo "==> fault-injection soak at full size (regenerated BENCH_007 is byte-identical)"
+cargo run -q --release -p elp2im-bench --bin perf_report -- --soak --out "$trace_dir/bench_007_full.json" > /dev/null
+cmp "$trace_dir/bench_007_full.json" BENCH_007.json
+
 echo "==> topology scaling (emit + validate BENCH_008, deterministic)"
 cargo run -q --release -p elp2im-bench --bin perf_report -- --topology --out "$trace_dir/bench_008.json" > /dev/null
 cargo run -q --release -p elp2im-bench --bin perf_report -- --check "$trace_dir/bench_008.json"
@@ -70,6 +74,10 @@ echo "==> logic synthesis (emit + validate BENCH_009, deterministic; auto-XOR <=
 cargo run -q --release -p elp2im-bench --bin perf_report -- --synth --out "$trace_dir/bench_009.json" > /dev/null
 cargo run -q --release -p elp2im-bench --bin perf_report -- --check "$trace_dir/bench_009.json"
 cargo run -q --release -p elp2im-bench --bin perf_report -- --check BENCH_009.json
+
+echo "==> examples (expressions, quickstart)"
+cargo run -q --release --example expressions > /dev/null
+cargo run -q --release --example quickstart > /dev/null
 
 echo "==> batch bench smoke (vendored criterion --smoke fast path)"
 cargo bench -q -p elp2im-bench --bench batch -- --smoke > /dev/null
