@@ -158,14 +158,17 @@ impl InMemoryTable {
     }
 
     fn column(&self, name: &str) -> Result<&Column, CoreError> {
-        self.columns.iter().find(|c| c.name == name).ok_or(CoreError::InvalidHandle(usize::MAX))
+        self.columns
+            .iter()
+            .find(|c| c.name == name)
+            .ok_or_else(|| CoreError::UnknownColumn(name.to_string()))
     }
 
     /// Evaluates a predicate in-DRAM, returning the selection mask handle.
     ///
     /// # Errors
     ///
-    /// Unknown columns report as [`CoreError::InvalidHandle`]; constants
+    /// Unknown columns report as [`CoreError::UnknownColumn`]; constants
     /// that do not fit the column width panic (programming error).
     pub fn selection_mask(&mut self, q: &QueryPredicate) -> Result<RowHandle, CoreError> {
         match q {
@@ -370,7 +373,11 @@ mod tests {
     fn unknown_column_is_an_error() {
         let mut t = table(16);
         let q = QueryPredicate::cmp("salary", Predicate::Lt, 10);
-        assert!(t.count_where(&q).is_err());
+        let unknown = CoreError::UnknownColumn("salary".into());
+        assert_eq!(t.count_where(&q).unwrap_err(), unknown);
+        let known = QueryPredicate::cmp("age", Predicate::Lt, 10);
+        assert_eq!(t.sum_where("salary", &known).unwrap_err(), unknown);
+        assert_eq!(t.group_count("salary", None).unwrap_err(), unknown);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! The headline measurement is makespan scaling: the same bulk AND over
 //! operands striped across 1, 2, 4, or 8 banks. The modeled wall-clock
 //! makespan shrinks nearly linearly with banks (printed once per run for
-//! inspection), while the host-side simulation cost per bank stays flat
-//! thanks to the scoped-thread fan-out.
+//! inspection). On the host, banks run on at most one worker per core,
+//! and only when an op carries enough work to repay a thread; the
+//! `run_banks_calibration` group measures the spawn cost and the
+//! per-word cost that set that threshold.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use elp2im_core::batch::{BatchConfig, DeviceArray};
@@ -113,6 +115,47 @@ fn bench_topology_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// Calibration of the host worker rule in `DeviceArray::run_banks`
+/// (`PARALLEL_MIN_WORDS`): the fixed cost of one extra worker (a scoped
+/// thread spawn + join around an empty body), and one bulk AND + release
+/// on a 2-bank array of 8 KB rows at growing sizes, with its
+/// primitive-word count (primitives × 64-bit words per row) printed so
+/// the time per word follows. A worker pays off once its share of the
+/// words costs well over a spawn.
+fn bench_worker_calibration(c: &mut Criterion) {
+    let mut group = c.benchmark_group("run_banks_calibration");
+    group.bench_function("spawn_join", |bch| {
+        bch.iter(|| std::thread::scope(|scope| scope.spawn(|| std::hint::black_box(0)).join()));
+    });
+    for &stripes in &[2usize, 8, 32, 64, 128, 256] {
+        let mut array = DeviceArray::new(BatchConfig {
+            budget: PumpBudget::unconstrained(),
+            ..BatchConfig::with_banks(2)
+        });
+        let bits = array.row_bits() * stripes;
+        let (a, b) = operands(bits);
+        let ha = array.store(&a).unwrap();
+        let hb = array.store(&b).unwrap();
+        let (hc, _) = array.binary(LogicOp::And, ha, hb).unwrap();
+        array.release(hc).unwrap();
+        let plan = array.last_plan().unwrap();
+        let primitives: usize = plan.steps.iter().map(|s| s.program.primitives().len()).sum();
+        println!(
+            "run_banks_calibration/words/{stripes}: {} primitive-words",
+            primitives * array.row_bits().div_ceil(64)
+        );
+        group.throughput(Throughput::Elements(bits as u64));
+        group.bench_with_input(BenchmarkId::new("words", stripes), &stripes, |bch, _| {
+            bch.iter(|| {
+                let (hc, run) = array.binary(LogicOp::And, ha, hb).unwrap();
+                array.release(hc).unwrap();
+                std::hint::black_box(run.stats().makespan);
+            });
+        });
+    }
+    group.finish();
+}
+
 /// The interleaved scheduler alone (no functional simulation): per-bank
 /// streams of mixed ELP2IM commands under the JEDEC pump budget.
 fn bench_scheduler(c: &mut Criterion) {
@@ -194,6 +237,7 @@ criterion_group!(
     benches,
     bench_makespan_scaling,
     bench_topology_scaling,
+    bench_worker_calibration,
     bench_scheduler,
     bench_sink_overhead
 );

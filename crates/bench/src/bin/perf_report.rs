@@ -42,10 +42,12 @@ use elp2im_apps::backend::PimBackend;
 use elp2im_apps::bitmap::BitmapStudy;
 use elp2im_apps::tablescan::TableScanStudy;
 use elp2im_bench::report::{validate_report, Table};
+use elp2im_circuit::profile::{ChipProfile, ProfileConfig};
 use elp2im_core::batch::{BatchConfig, DeviceArray};
 use elp2im_core::bitvec::BitVec;
 use elp2im_core::compile::{compile, xor_sequence, CompileMode, LogicOp, Operands};
 use elp2im_core::engine::SubarrayEngine;
+use elp2im_core::faulty::{ColumnFaultModel, FaultPolicy};
 use elp2im_dram::constraint::PumpBudget;
 use elp2im_dram::geometry::{Geometry, Topology};
 use elp2im_dram::json::Json;
@@ -54,6 +56,14 @@ use std::time::{Duration, Instant};
 
 /// Git commit of the tree the baseline column was measured on.
 const BASELINE_COMMIT: &str = "6f1eb19";
+
+/// Git commit of the tree the `batch_checked` row's baseline was measured
+/// on: the last one that started a thread per busy bank and hashed every
+/// fault decision in full.
+const CHECKED_BASELINE_COMMIT: &str = "fe3e125";
+
+/// Chip identity of the `batch_checked` row's fault models.
+const CHECKED_CHIP_SEED: u64 = 0xE1F2_1A0D;
 
 /// Median-of-samples timing, mirroring the vendored criterion harness:
 /// warm up once, pick an iteration count targeting ~20 ms of measurement,
@@ -135,6 +145,44 @@ fn measured_rows(smoke: bool) -> (Vec<Row>, RunStats) {
         let measured = measure(smoke, || batch_bulk_and(banks, &a, &b));
         rows.push(Row { name, elements: Some(bits as u64), baseline_us, measured });
     }
+    // The fault-aware checked op on the benchmark's `fault_soak` array
+    // (4 channels × 2 ranks × 8 banks, JEDEC budget, mid-grade chip fault
+    // models on the odd units): a 64-stripe AND verified by recompute,
+    // released again each iteration.
+    let topology = Topology::new(4, 2, bench_geometry(8));
+    let units = topology.total_banks();
+    let mut array = DeviceArray::new(BatchConfig {
+        topology,
+        budget: PumpBudget::jedec_ddr3_1600(),
+        ..BatchConfig::default()
+    });
+    let profile = ChipProfile::sample(ProfileConfig {
+        sigma: 0.17,
+        ..ProfileConfig::mid_grade(CHECKED_CHIP_SEED, units, array.row_bits())
+    });
+    array.set_fault_models(
+        (0..units)
+            .map(|u| {
+                (u % 2 == 1).then(|| {
+                    ColumnFaultModel::new(CHECKED_CHIP_SEED, u, profile.column_probabilities(u))
+                })
+            })
+            .collect(),
+    );
+    let checked_bits = array.row_bits() * units;
+    let ha = array.store(&(0..checked_bits).map(|i| i % 3 == 0).collect()).unwrap();
+    let hb = array.store(&(0..checked_bits).map(|i| i % 7 == 0).collect()).unwrap();
+    let measured = measure(smoke, || {
+        let checked = array.binary_checked(LogicOp::And, ha, hb, &FaultPolicy::default()).unwrap();
+        array.release(checked.handle).unwrap();
+    });
+    rows.push(Row {
+        name: "batch_checked/4x2x8",
+        elements: Some(checked_bits as u64),
+        baseline_us: 6295.823,
+        measured,
+    });
+
     // Modeled-DRAM stats of the 8-bank op, attached as the report's raw
     // measurement block (host timing above; device timing here).
     let mut array = array_with_banks(8);
@@ -294,6 +342,10 @@ fn build_table(smoke: bool) -> Table {
     t.note(format!(
         "baseline column: criterion medians on the seed tree (commit {BASELINE_COMMIT})"
     ));
+    t.note(format!(
+        "batch_checked row: its baseline is the same row measured on commit \
+         {CHECKED_BASELINE_COMMIT} (median of 5 runs, 2-vCPU VM)"
+    ));
     t.note("measured column: median of 5 samples, ~20 ms per sample, std::time::Instant");
     t.note("stats block: modeled DRAM schedule of the 8-bank bulk AND (not host time)");
     t.note(
@@ -388,12 +440,13 @@ fn check(path: &str) -> Result<(), String> {
 
 fn check_bench_006(doc: &Json) -> Result<(), String> {
     let rows = doc.get("rows").and_then(Json::as_array).expect("validated");
-    let has_headline = rows.iter().any(|r| {
-        r.as_array().and_then(|cells| cells.first()).and_then(Json::as_str)
-            == Some("batch_bulk_and/banks/8")
-    });
-    if !has_headline {
-        return Err("missing the batch_bulk_and/banks/8 headline row".into());
+    for required in ["batch_bulk_and/banks/8", "batch_checked/4x2x8"] {
+        let present = rows.iter().any(|r| {
+            r.as_array().and_then(|cells| cells.first()).and_then(Json::as_str) == Some(required)
+        });
+        if !present {
+            return Err(format!("missing the {required} headline row"));
+        }
     }
     // Analyzer-overhead invariant: the static plan verifier must cost
     // less than 5% of the batch op it certifies. The planlint row's

@@ -24,13 +24,17 @@
 //!   windows and per-channel buses, alongside the serial
 //!   [`busy_time`](RunStats::busy_time) — plus the exact bus trace for
 //!   inspection.
-//! * **Functional simulation is host-parallel.** Banks are
-//!   architecturally independent, so each bank's stripes execute on its
-//!   [`SubarrayEngine`](crate::engine::SubarrayEngine)s in a scoped thread
-//!   ([`std::thread::scope`]); results merge deterministically in bank
-//!   order, so outputs are bit-identical to a serial run. Small batches
-//!   (less total word-work than a thread spawn costs) run serially on the
-//!   calling thread instead — same results, no fixed overhead.
+//! * **Functional simulation is host-parallel, at most one worker per
+//!   core.** Banks are architecturally independent, so the busy banks
+//!   split into contiguous chunks that run on their
+//!   [`SubarrayEngine`](crate::engine::SubarrayEngine)s concurrently: the
+//!   calling thread takes the first chunk and scoped threads
+//!   ([`std::thread::scope`]) the rest. The worker count is the smallest
+//!   of the host's available parallelism, the busy banks, and the
+//!   operation's word-work over the minimum a worker must carry to repay
+//!   its spawn; at one worker the operation runs serially on the calling
+//!   thread. Every engine's state and fault stream depend only on its own
+//!   programs, so outputs are bit-identical at every worker count.
 //! * **Striping is word-level and zero-copy.** `store`/`load` move whole
 //!   64-bit word runs between host vectors and the engines' row arenas
 //!   ([`write_row_from`](crate::engine::SubarrayEngine::write_row_from)/
@@ -58,7 +62,8 @@ use elp2im_dram::interleave::Schedule;
 use elp2im_dram::stats::RunStats;
 use elp2im_dram::telemetry::{MetricsRegistry, TraceSink};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::sync::{Arc, OnceLock};
 
 /// Batch-layer configuration.
 #[derive(Debug, Clone)]
@@ -239,13 +244,32 @@ pub struct DeviceArray {
     /// The batch plan of the most recent prepared operation, as handed to
     /// the plan-level static verifier ([`crate::planlint::certify`]).
     last_plan: Option<BatchPlan>,
+    /// Exact host worker count for [`DeviceArray::run_banks`], overriding
+    /// the core- and work-sized default. Set only by unit tests, which
+    /// pin results across worker counts.
+    workers: Option<usize>,
 }
 
-/// Minimum total word-work (primitives × words per row) before
-/// [`DeviceArray`] spawns per-bank threads; below this the serial path
-/// wins, since a thread spawn costs more than executing a few small
-/// word-loop programs.
-const PARALLEL_MIN_WORDS: usize = 1 << 14;
+/// One bank's share of an operation: `(subarray, program)` pairs in
+/// execution order.
+type BankWork = Vec<(usize, Arc<Program>)>;
+
+/// Minimum word-work (primitives × words per row) per host worker in
+/// [`DeviceArray::run_banks`]: an operation gets at most one worker per
+/// `PARALLEL_MIN_WORDS` of work, so it runs serially below twice this.
+///
+/// Calibrated with `cargo bench -p elp2im-bench --bench batch`
+/// (`run_banks_calibration`) on a 2-vCPU VM: a scoped thread spawn + join
+/// costs ~40 µs there and one primitive-word ~1.5 ns, so two workers only
+/// tie a serial run at ~10^5 words in total. At 2^17 words per worker the
+/// spawn is about a fifth of a worker's share.
+const PARALLEL_MIN_WORDS: usize = 1 << 17;
+
+/// Host cores available to [`DeviceArray::run_banks`], queried once.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
 
 /// The channel-major placement order over flat bank units: slot `i` maps
 /// channel-fastest, then rank, then bank, so consecutive stripes land on
@@ -293,6 +317,7 @@ impl DeviceArray {
             bank_rank,
             reliability: MetricsRegistry::new(),
             last_plan: None,
+            workers: None,
         }
     }
 
@@ -612,10 +637,7 @@ impl DeviceArray {
         op: LogicOp,
         a: BatchHandle,
         b: Option<BatchHandle>,
-    ) -> Result<
-        (BatchEntry, Vec<Vec<(usize, Arc<Program>)>>, Vec<(TopoPath, Vec<CommandProfile>)>),
-        CoreError,
-    > {
+    ) -> Result<(BatchEntry, Vec<BankWork>, Vec<(TopoPath, Vec<CommandProfile>)>), CoreError> {
         let ea = self.entry(a)?.clone();
         if let Some(b) = b {
             let eb = self.entry(b)?;
@@ -626,8 +648,7 @@ impl DeviceArray {
         let eb = b.map(|b| self.entry(b).cloned()).transpose()?;
 
         let mut stripes = Vec::with_capacity(ea.stripes.len());
-        let mut work: Vec<Vec<(usize, Arc<Program>)>> =
-            (0..self.banks.len()).map(|_| Vec::new()).collect();
+        let mut work: Vec<BankWork> = (0..self.banks.len()).map(|_| Vec::new()).collect();
         // Streams merge per flat unit in O(log units) — keyed by index,
         // converted to paths once at the end.
         let mut streams: BTreeMap<usize, Vec<CommandProfile>> = BTreeMap::new();
@@ -711,58 +732,52 @@ impl DeviceArray {
         Ok((BatchEntry { len: ea.len, stripes }, work, streams))
     }
 
-    /// Executes every bank's programs on its engines — one scoped thread
-    /// per bank with work when there is enough of it to amortize the
-    /// spawns, serially on the calling thread otherwise. Banks touch
-    /// disjoint state, and results are collected in bank order, so the
-    /// outcome is identical either way.
-    fn run_banks(&mut self, work: Vec<Vec<(usize, Arc<Program>)>>) -> Result<(), CoreError> {
-        let cache = &self.analysis_cache;
+    /// Executes every bank's programs on its engines with at most one
+    /// worker per host core. The busy banks split into contiguous
+    /// ascending chunks, one per worker: the calling thread runs the
+    /// first chunk and scoped threads run the rest. Too little work for
+    /// two workers runs serially on the calling thread. Banks touch
+    /// disjoint state and each engine's fault stream depends only on its
+    /// own programs, so the outcome is identical at every worker count,
+    /// and on failure the lowest failing bank's error is reported.
+    fn run_banks(&mut self, work: Vec<BankWork>) -> Result<(), CoreError> {
         let words_per_row = self.config.topology.geometry.row_bits().div_ceil(64);
-        let total_primitives: usize =
-            work.iter().flatten().map(|(_, prog)| prog.primitives().len()).sum();
-        let busy_banks = work.iter().filter(|programs| !programs.is_empty()).count();
-        if busy_banks <= 1 || total_primitives * words_per_row < PARALLEL_MIN_WORDS {
-            // Serial fast path; banks still run in ascending order, so the
-            // first error reported matches the parallel path's.
-            for (unit, programs) in self.banks.iter_mut().zip(&work) {
-                for (subarray, prog) in programs {
-                    unit.engines[*subarray].run_verified_cached(prog.as_ref(), cache)?;
+        let total_words = words_per_row
+            * work.iter().flatten().map(|(_, prog)| prog.primitives().len()).sum::<usize>();
+        let cache = &self.analysis_cache;
+        let mut busy: Vec<_> =
+            self.banks.iter_mut().zip(&work).filter(|(_, programs)| !programs.is_empty()).collect();
+        let workers = self
+            .workers
+            .unwrap_or_else(|| host_cores().min(total_words / PARALLEL_MIN_WORDS))
+            .min(busy.len());
+        let run_chunk = |chunk: &mut [(&mut BankUnit, &BankWork)]| {
+            for (unit, programs) in chunk {
+                for (subarray, prog) in programs.iter() {
+                    unit.engines[*subarray].run_verified_cached(prog, cache)?;
                 }
             }
-            return Ok(());
+            Ok(())
+        };
+        if workers <= 1 {
+            return run_chunk(&mut busy);
         }
-        let results: Vec<Result<(), CoreError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .banks
-                .iter_mut()
-                .zip(work.iter())
-                .map(|(unit, programs)| {
-                    if programs.is_empty() {
-                        None
-                    } else {
-                        Some(scope.spawn(move || -> Result<(), CoreError> {
-                            for (subarray, prog) in programs {
-                                unit.engines[*subarray]
-                                    .run_verified_cached(prog.as_ref(), cache)?;
-                            }
-                            Ok(())
-                        }))
-                    }
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h {
+        let chunk_len = busy.len().div_ceil(workers);
+        let mut chunks = busy.chunks_mut(chunk_len);
+        let first = chunks.next().expect("two or more busy banks");
+        std::thread::scope(|scope| {
+            let spawned: Vec<_> =
+                chunks.map(|chunk| scope.spawn(move || run_chunk(chunk))).collect();
+            // Chunks ascend and each stops at its own first failure, so
+            // the first error in chunk order is the lowest failing bank's.
+            std::iter::once(run_chunk(first))
+                .chain(spawned.into_iter().map(|h| {
                     // A panicking engine thread is a bug in the functional
                     // model itself; propagate the panic.
-                    Some(h) => h.join().expect("bank engine thread panicked"),
-                    None => Ok(()),
-                })
+                    h.join().expect("bank engine thread panicked")
+                }))
                 .collect()
-        });
-        // Deterministic error reporting: the lowest failing bank wins.
-        results.into_iter().collect()
+        })
     }
 
     /// Returns to their free lists the rows a failed operation had
@@ -802,6 +817,19 @@ impl DeviceArray {
         result
     }
 
+    /// Schedules one operation's command streams, through the trace sink
+    /// when one is installed.
+    fn schedule(
+        &mut self,
+        streams: &[(TopoPath, Vec<CommandProfile>)],
+    ) -> Result<Schedule, CoreError> {
+        match self.sink.as_mut() {
+            Some(sink) => self.scheduler.schedule_traced(streams, sink.as_mut()),
+            None => self.scheduler.schedule(streams),
+        }
+        .map_err(CoreError::SchedulingFailed)
+    }
+
     fn try_run_op(
         &mut self,
         op: LogicOp,
@@ -820,11 +848,7 @@ impl DeviceArray {
             return Err(CoreError::PlanRejected(err.to_string()));
         }
         self.run_banks(work)?;
-        let schedule = match self.sink.as_mut() {
-            Some(sink) => self.scheduler.schedule_traced(&streams, sink.as_mut()),
-            None => self.scheduler.schedule(&streams),
-        }
-        .map_err(|_| CoreError::InvalidHandle(usize::MAX))?;
+        let schedule = self.schedule(&streams)?;
         let banks_used = streams.len();
         let channels_used = {
             let mut channels: Vec<usize> = streams.iter().map(|(p, _)| p.channel).collect();
@@ -1190,6 +1214,17 @@ mod tests {
     }
 
     #[test]
+    fn scheduler_errors_keep_their_cause() {
+        let mut m = small(2);
+        let ap = CommandProfile::ap(m.banks[0].engines[0].timing());
+        let corrupt = TopoPath { channel: usize::MAX, rank: 0, bank: 0 };
+        assert!(matches!(
+            m.schedule(&[(corrupt, vec![ap])]),
+            Err(CoreError::SchedulingFailed(elp2im_dram::error::DramError::BankOutOfRange { .. }))
+        ));
+    }
+
+    #[test]
     fn dead_handle_errors() {
         let mut m = small(2);
         let h = m.store(&BitVec::ones(4)).unwrap();
@@ -1317,6 +1352,111 @@ mod tests {
         }
         assert!(delivered_clean >= 8, "only {delivered_clean}/10 verified clean");
         assert!(m.reliability_metrics().counter("retries") > 0, "p=0.15 never mismatched");
+    }
+
+    /// A 4 ch × 2 rank × 8 bank array with 1 KB rows and fault models on
+    /// the odd units, running on exactly `workers` host workers.
+    fn soak_array(workers: usize) -> DeviceArray {
+        let geometry =
+            Geometry { banks: 8, subarrays_per_bank: 2, rows_per_subarray: 32, row_bytes: 1024 };
+        let mut m = DeviceArray::new(BatchConfig {
+            topology: Topology::new(4, 2, geometry),
+            budget: PumpBudget::jedec_ddr3_1600(),
+            ..BatchConfig::default()
+        });
+        m.workers = Some(workers);
+        let probs: Vec<f64> =
+            (0..m.row_bits()).map(|c| if c % 5 == 0 { 0.02 } else { 0.0 }).collect();
+        let models = (0..m.banks())
+            .map(|u| (u % 2 == 1).then(|| ColumnFaultModel::new(0xD15C, u, probs.clone())))
+            .collect();
+        m.set_fault_models(models);
+        m
+    }
+
+    #[test]
+    fn results_are_identical_at_every_worker_count() {
+        let run = |workers: usize| {
+            let mut m = soak_array(workers);
+            // A fixed LCG drives the op sequence: full-width vectors span
+            // all 64 units (odd ones faulty), narrow ones only clean units.
+            let mut state = 0x5EED_u64;
+            let mut pick = |n: usize| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) as usize % n
+            };
+            let mut loads = Vec::new();
+            for bits in [m.row_bits() * 64, m.row_bits() * 5 + 7] {
+                let mut live: Vec<BatchHandle> = (0..3)
+                    .map(|k| m.store(&(0..bits).map(|i| (i * (k + 2)) % 7 < 3).collect()).unwrap())
+                    .collect();
+                for _ in 0..12 {
+                    let (a, b) = (live[pick(live.len())], live[pick(live.len())]);
+                    let op = [LogicOp::And, LogicOp::Or, LogicOp::Xor, LogicOp::Nand][pick(4)];
+                    let h = match pick(4) {
+                        0 => m.binary(op, a, b).unwrap().0,
+                        1 => m.not(a).unwrap().0,
+                        _ => m.binary_checked(op, a, b, &FaultPolicy::default()).unwrap().handle,
+                    };
+                    loads.push(m.load(h).unwrap());
+                    live.push(h);
+                    if live.len() > 5 {
+                        m.release(live.remove(pick(live.len()))).unwrap();
+                    }
+                }
+            }
+            (
+                loads,
+                m.stats().clone(),
+                m.injected_flips(),
+                m.reliability_metrics().clone(),
+                m.live_rows(),
+            )
+        };
+        let serial = run(1);
+        assert!(serial.2 > 0, "the sequence must exercise fault injection");
+        assert!(serial.3.counter("verify_recomputes") > 0, "and checked verification");
+        for workers in [2, 3, 64] {
+            assert!(run(workers) == serial, "{workers} workers diverged from serial");
+        }
+    }
+
+    #[test]
+    fn lowest_failing_bank_reports_at_every_worker_count() {
+        // Every unit runs an AND over rows 0 and 1; units 20 and 50 instead
+        // read a row never written (5 and 6), which the analyzer rejects.
+        let and = |a: usize| {
+            let rows = Operands { a, b: 1, dst: 2, scratch: None };
+            Arc::new(compile(LogicOp::And, CompileMode::LowLatency, rows, 1).unwrap())
+        };
+        let error_of = |row: usize| {
+            let mut e = FaultyEngine::new(8192, 32, 1);
+            e.write_row(1, BitVec::ones(8192)).unwrap();
+            e.run_verified(&and(row)).unwrap_err()
+        };
+        let (lower, upper) = (error_of(5), error_of(6));
+        assert_ne!(lower, upper);
+        for workers in [1, 2, 3, 64] {
+            let mut m = soak_array(workers);
+            let rb = m.row_bits();
+            for unit in &mut m.banks {
+                unit.engines[0].write_row(0, BitVec::ones(rb)).unwrap();
+                unit.engines[0].write_row(1, BitVec::ones(rb)).unwrap();
+            }
+            let work = (0..m.banks())
+                .map(|u| {
+                    vec![(
+                        0,
+                        and(match u {
+                            20 => 5,
+                            50 => 6,
+                            _ => 0,
+                        }),
+                    )]
+                })
+                .collect();
+            assert_eq!(m.run_banks(work), Err(lower.clone()), "{workers} workers");
+        }
     }
 
     #[test]

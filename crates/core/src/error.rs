@@ -2,11 +2,12 @@
 
 use crate::primitive::RowRef;
 use crate::validate::Violation;
+use elp2im_dram::error::DramError;
 use std::error::Error;
 use std::fmt;
 
 /// Errors produced by the functional engine and device layers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CoreError {
     /// A data-row index exceeded the subarray size.
     RowOutOfRange {
@@ -79,6 +80,11 @@ pub enum CoreError {
     /// execution; the string is the first diagnostic's rendered text (the
     /// concrete counterexample).
     PlanRejected(String),
+    /// The batch scheduler rejected an operation's command streams (e.g. a
+    /// corrupt stream path).
+    SchedulingFailed(DramError),
+    /// A query named a column the table does not have.
+    UnknownColumn(String),
 }
 
 impl fmt::Display for CoreError {
@@ -119,11 +125,20 @@ impl fmt::Display for CoreError {
             CoreError::PlanRejected(reason) => {
                 write!(f, "statically invalid plan: {reason}")
             }
+            CoreError::SchedulingFailed(e) => write!(f, "batch scheduling failed: {e}"),
+            CoreError::UnknownColumn(name) => write!(f, "unknown column '{name}'"),
         }
     }
 }
 
-impl Error for CoreError {}
+impl Error for CoreError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            CoreError::SchedulingFailed(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 impl From<Violation> for CoreError {
     fn from(v: Violation) -> Self {
@@ -143,6 +158,16 @@ mod tests {
         assert!(format!("{e}").contains("decoder"));
         let e = CoreError::WidthMismatch { expected: 64, got: 32 };
         assert!(format!("{e}").contains("64"));
+        let e = CoreError::UnknownColumn("age".into());
+        assert_eq!(format!("{e}"), "unknown column 'age'");
+    }
+
+    #[test]
+    fn scheduling_failure_wraps_the_dram_error() {
+        let dram = DramError::CommandExceedsPumpBudget { cost: 9.0, budget: 4.0 };
+        let e = CoreError::SchedulingFailed(dram.clone());
+        assert!(format!("{e}").contains("exceeds the whole window budget"));
+        assert_eq!(e.source().map(ToString::to_string), Some(dram.to_string()));
     }
 
     #[test]

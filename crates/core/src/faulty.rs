@@ -15,10 +15,12 @@
 //! The model is deliberately free of `rand`: flip decisions hash the
 //! `(seed, bank, event counter, column)` coordinates through the same
 //! SplitMix64 finalizer the circuit crate's Monte-Carlo engine uses, and
-//! compare against the column's probability as a 64-bit threshold. An
-//! engine's fault stream therefore depends only on its own operation
-//! sequence — per-bank engines replay identically whether banks execute
-//! serially or on scoped threads.
+//! compare against the column's probability as a 64-bit threshold (the
+//! column-independent part of the hash is computed once per computed
+//! restore). An engine's fault stream therefore depends only on its own
+//! operation sequence — per-bank engines replay identically at every
+//! host worker count (at most one worker per core, see
+//! [`DeviceArray`](crate::batch::DeviceArray)), serial included.
 //!
 //! Per-column probabilities typically come from
 //! `elp2im_circuit::profile::ChipProfile::column_probabilities`; this
@@ -53,6 +55,18 @@ fn decision_key(seed: u64, bank: u64, event: u64, column: u64) -> u64 {
         h = mix64(h.wrapping_add(GOLDEN_GAMMA).wrapping_add(coord));
     }
     h
+}
+
+/// The column-independent prefix of [`decision_key`]: its first two
+/// rounds, hashed once per (model, event).
+fn event_prefix(seed: u64, bank: u64, event: u64) -> u64 {
+    let h = mix64(seed.wrapping_add(GOLDEN_GAMMA).wrapping_add(bank));
+    mix64(h.wrapping_add(GOLDEN_GAMMA).wrapping_add(event))
+}
+
+/// Completes an [`event_prefix`] into the decision key of one column.
+fn column_decision(prefix: u64, column: u64) -> u64 {
+    mix64(prefix.wrapping_add(GOLDEN_GAMMA).wrapping_add(column))
 }
 
 /// Per-column fault description of one bank, decoupled from how the
@@ -226,30 +240,39 @@ impl FaultyEngine {
 
     /// Applies the fault model to every computed restore of `program`,
     /// given the regulation state that held before it ran.
+    ///
+    /// Each decision equals [`decision_key`]`(seed, bank, event, column)`,
+    /// but the [`event_prefix`] is hashed once per computed restore, which
+    /// leaves one [`mix64`] per in-range fallible column.
     fn apply_faults(&mut self, initial_pending: bool, program: &[Primitive]) {
-        let Some(model) = self.model.clone() else {
+        let FaultyEngine { inner, model, events, flips } = self;
+        let Some(model) = model.as_ref().filter(|m| !m.is_trivial()) else {
             return;
         };
-        if model.is_trivial() {
-            return;
-        }
-        let width = self.inner.width();
+        // `fallible` ascends by column, so the in-range columns are a prefix.
+        let width = inner.width();
+        let in_range =
+            &model.fallible[..model.fallible.partition_point(|&(c, _)| (c as usize) < width)];
         let mut pending = initial_pending;
         for p in program {
             for row in computed_restores(p, pending).into_iter().flatten() {
-                self.events = self.events.wrapping_add(1);
-                for &(column, threshold) in &model.fallible {
-                    let column = column as usize;
-                    if column >= width || !self.inner.is_live(row) {
-                        continue;
-                    }
-                    let k = decision_key(model.seed, model.bank, self.events, column as u64);
+                *events = events.wrapping_add(1);
+                if !inner.is_live(row) {
+                    continue;
+                }
+                let prefix = event_prefix(model.seed, model.bank, *events);
+                for &(column, threshold) in in_range {
+                    let k = column_decision(prefix, column.into());
+                    debug_assert_eq!(
+                        k,
+                        decision_key(model.seed, model.bank, *events, column.into())
+                    );
                     if k < threshold {
                         // The row is live and in range, so this cannot fail.
-                        self.inner
-                            .inject_bit_error(row, column)
+                        inner
+                            .inject_bit_error(row, column as usize)
                             .expect("injection into a live computed row");
-                        self.flips += 1;
+                        *flips += 1;
                     }
                 }
             }
@@ -513,6 +536,107 @@ mod tests {
             e.row(RowRef::Data(2)).unwrap()
         };
         assert_ne!(result_for_bank(0), result_for_bank(1));
+    }
+
+    /// Every (row, column) whose stored bit differs between two engines;
+    /// the bar port of a reserved row mirrors its true port, so only the
+    /// true port is compared.
+    fn differing_bits(a: &FaultyEngine, b: &FaultyEngine) -> Vec<(RowRef, usize)> {
+        let rows =
+            (0..a.data_rows()).map(RowRef::Data).chain((0..a.dcc_rows()).map(RowRef::DccTrue));
+        let mut out = Vec::new();
+        for row in rows {
+            if let (Ok(x), Ok(y)) = (a.row(row), b.row(row)) {
+                out.extend((0..a.width()).filter(|&c| x.get(c) != y.get(c)).map(|c| (row, c)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn fault_stream_golden() {
+        // A fixed model over a 200-column engine: columns past the engine
+        // width (230) must never flip, whatever their probability.
+        let mut probs = vec![0.0; 256];
+        for c in (0..256).step_by(13) {
+            probs[c] = 0.05;
+        }
+        probs[199] = 0.5;
+        probs[230] = 1.0;
+        let mut e = FaultyEngine::new(200, 16, 1);
+        for (i, period) in [3, 5, 7, 11].into_iter().enumerate() {
+            e.write_row(i, (0..200).map(|c| c % period == 0).collect()).unwrap();
+        }
+        e.set_fault_model(Some(ColumnFaultModel::new(0xC0FF_EE00, 5, probs)));
+        let ops = [
+            (LogicOp::And, 0, 1, 4),
+            (LogicOp::Or, 1, 2, 5),
+            (LogicOp::Xor, 0, 2, 6),
+            (LogicOp::Nand, 4, 3, 7),
+            (LogicOp::Not, 5, 5, 8),
+            (LogicOp::Nor, 6, 7, 9),
+        ];
+        // Each program's flips are the bits where the faulty engine departs
+        // from a clean twin started from the same state.
+        let mut flipped = Vec::new();
+        for round in 0..2 {
+            for (i, &(op, a, b, dst)) in ops.iter().enumerate() {
+                let rows = Operands { a, b, dst, scratch: None };
+                let program = compile(op, CompileMode::LowLatency, rows, 1).unwrap();
+                let mut clean = FaultyEngine::from_engine(e.inner().clone());
+                clean.run_verified(&program).unwrap();
+                e.run_verified(&program).unwrap();
+                for (row, column) in differing_bits(&e, &clean) {
+                    flipped.push((round * ops.len() + i, row, column));
+                }
+            }
+        }
+        use RowRef::{Data, DccTrue};
+        let pinned = [
+            (0, Data(4), 13),
+            (0, Data(4), 199),
+            (0, DccTrue(0), 195),
+            (0, DccTrue(0), 199),
+            (1, Data(5), 52),
+            (1, DccTrue(0), 199),
+            (2, Data(6), 78),
+            (2, Data(6), 104),
+            (2, Data(6), 199),
+            (3, DccTrue(0), 26),
+            (3, DccTrue(0), 199),
+            (5, DccTrue(0), 130),
+            (5, DccTrue(0), 199),
+            (6, Data(4), 156),
+            (6, DccTrue(0), 91),
+            (6, DccTrue(0), 117),
+            (6, DccTrue(0), 199),
+            (7, Data(5), 0),
+            (7, Data(5), 130),
+            (7, Data(5), 199),
+            (8, Data(6), 0),
+            (8, Data(6), 39),
+            (8, Data(6), 199),
+            (9, DccTrue(0), 199),
+            (11, DccTrue(0), 0),
+            (11, DccTrue(0), 143),
+        ];
+        assert_eq!(flipped, pinned);
+        assert_eq!(e.injected_flips(), 26);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn hoisted_prefix_matches_decision_key(
+            seed in proptest::prelude::any::<u64>(),
+            bank in proptest::prelude::any::<u64>(),
+            event in proptest::prelude::any::<u64>(),
+            column in 0u64..1 << 20,
+        ) {
+            proptest::prop_assert_eq!(
+                column_decision(event_prefix(seed, bank, event), column),
+                decision_key(seed, bank, event, column)
+            );
+        }
     }
 
     #[test]

@@ -417,13 +417,12 @@ pub fn certify(plan: &BatchPlan) -> PlanReport {
     let mut diagnostics = Vec::new();
 
     // ---- Passes 1 and 2: borrow checking and hazards, per subarray. ----
-    // Steps are grouped by (unit, subarray) preserving plan order; each
-    // group is an independent interprocedural analysis because subarrays
-    // share no rows.
-    let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-    for (k, step) in plan.steps.iter().enumerate() {
-        groups.entry((step.unit, step.subarray)).or_default().push(k);
-    }
+    // Steps are grouped by (unit, subarray) preserving plan order (the
+    // sort is stable); each group is an independent interprocedural
+    // analysis because subarrays share no rows.
+    let place = |k: usize| (plan.steps[k].unit, plan.steps[k].subarray);
+    let mut by_place: Vec<usize> = (0..plan.steps.len()).collect();
+    by_place.sort_by_key(|&k| place(k));
     // Memoized program analyses: batch plans run one compiled program over
     // many equivalent subarray states, so the (program, live-rows) pair
     // recurs constantly.
@@ -446,29 +445,31 @@ pub fn certify(plan: &BatchPlan) -> PlanReport {
     // identity, first-seen stream index) signature plus the live-in set —
     // is analyzed once; its findings are cached with group-local step
     // indices and rebound to every member group.
-    let mut classes: HashMap<GroupClass, Vec<PlanDiagnostic>> = HashMap::new();
-    for (&(unit, subarray), step_ids) in &groups {
-        let live: Vec<PhysRow> = plan
-            .live_in
-            .get(&(unit, subarray))
-            .map(|rows| rows.iter().copied().collect())
-            .unwrap_or_default();
-        let mut streams_seen: Vec<TopoPath> = Vec::new();
-        let sig: Vec<(usize, u32)> = step_ids
-            .iter()
-            .map(|&k| {
-                let stream = plan.steps[k].stream;
-                let sid = streams_seen.iter().position(|p| *p == stream).unwrap_or_else(|| {
-                    streams_seen.push(stream);
-                    streams_seen.len() - 1
-                });
-                (Arc::as_ptr(&plan.steps[k].program) as usize, sid as u32)
-            })
-            .collect();
-        let local = classes
-            .entry((sig, live))
-            .or_insert_with(|| check_group(plan, step_ids, &facts, &mut memo));
-        for d in local.iter() {
+    // The key buffers are reused across groups, so looking up a class that
+    // already exists allocates nothing.
+    let mut classes: BTreeMap<GroupClass, Vec<PlanDiagnostic>> = BTreeMap::new();
+    let mut key: GroupClass = (Vec::new(), Vec::new());
+    let mut streams_seen: Vec<TopoPath> = Vec::new();
+    for step_ids in by_place.chunk_by(|&a, &b| place(a) == place(b)) {
+        let (unit, subarray) = place(step_ids[0]);
+        let (sig, live) = &mut key;
+        live.clear();
+        live.extend(plan.live_in.get(&(unit, subarray)).into_iter().flatten().copied());
+        streams_seen.clear();
+        sig.clear();
+        sig.extend(step_ids.iter().map(|&k| {
+            let stream = plan.steps[k].stream;
+            let sid = streams_seen.iter().position(|p| *p == stream).unwrap_or_else(|| {
+                streams_seen.push(stream);
+                streams_seen.len() - 1
+            });
+            (Arc::as_ptr(&plan.steps[k].program) as usize, sid as u32)
+        }));
+        if !classes.contains_key(&key) {
+            let findings = check_group(plan, step_ids, &facts, &mut memo);
+            classes.insert(key.clone(), findings);
+        }
+        for d in &classes[&key] {
             diagnostics.push(rebind(d, unit, subarray, step_ids, plan));
         }
     }
@@ -733,20 +734,17 @@ fn verify_timing(plan: &BatchPlan, diagnostics: &mut Vec<PlanDiagnostic>) -> Opt
     if !accepted {
         return None;
     }
-    // Makespan of the verified claims: latest completion instant.
-    let merged: BTreeMap<TopoPath, &Vec<CommandProfile>> =
-        streams.iter().map(|(p, v)| (*p, v)).collect();
-    let mut cursors: BTreeMap<TopoPath, usize> = BTreeMap::new();
+    // Makespan of the verified claims: latest completion instant. The
+    // streams are path-sorted and the claims verified against them, so
+    // each claim binds to the next command of its bank's stream.
+    let mut cursors = vec![0usize; streams.len()];
     let mut end = Ps::ZERO;
     for c in &claims {
-        let idx = {
-            let e = cursors.entry(c.path).or_insert(0);
-            let i = *e;
-            *e += 1;
-            i
-        };
-        let done = c.start + merged[&c.path][idx].duration.to_ps();
-        end = end.max(done);
+        let s = streams
+            .binary_search_by_key(&c.path, |(p, _)| *p)
+            .expect("verified claims name only streamed banks");
+        end = end.max(c.start + streams[s].1[cursors[s]].duration.to_ps());
+        cursors[s] += 1;
     }
     Some(end.to_ns())
 }

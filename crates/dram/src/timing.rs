@@ -152,11 +152,6 @@ impl Ddr3Timing {
     pub fn refresh_overhead(&self) -> f64 {
         self.t_rfc / self.t_refi
     }
-
-    /// Inflates a duration by the steady-state refresh overhead.
-    pub fn with_refresh(&self, d: Ns) -> Ns {
-        d * (1.0 / (1.0 - self.refresh_overhead()))
-    }
 }
 
 impl Default for Ddr3Timing {
@@ -240,7 +235,5 @@ mod tests {
         let t = Ddr3Timing::ddr3_1600();
         let oh = t.refresh_overhead();
         assert!((0.02..=0.05).contains(&oh), "refresh overhead {oh}");
-        let inflated = t.with_refresh(Ns(1000.0));
-        assert!(inflated.as_f64() > 1000.0 && inflated.as_f64() < 1060.0);
     }
 }

@@ -206,6 +206,15 @@ fn merge_streams(
     merged
 }
 
+/// Maps each of `paths` to the dense index of its `key` among the
+/// distinct keys (ascending), so per-key state can live in a vector.
+fn dense_index<K: Ord>(paths: &[TopoPath], key: impl Fn(TopoPath) -> K) -> Vec<usize> {
+    let mut keys: Vec<K> = paths.iter().map(|&p| key(p)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    paths.iter().map(|&p| keys.binary_search(&key(p)).expect("key of a listed path")).collect()
+}
+
 /// Checks `claims` (in claimed bus order) against `streams` under `budget`
 /// and an optional `(interval, duration)` refresh blackout. Returns every
 /// refuted obligation; an empty vector is the certificate that the claimed
@@ -218,57 +227,60 @@ pub fn verify_claims(
 ) -> Vec<TimingViolation> {
     let merged = merge_streams(streams);
     let mut violations = Vec::new();
+    // Per-bank, per-channel and per-rank state lives in dense vectors: a
+    // bank's slot is its position in the path-sorted `merged`, and each
+    // claim's slot is looked up once (`None` names an unknown bank).
+    let paths: Vec<TopoPath> = merged.keys().copied().collect();
+    let cmds: Vec<Vec<&CommandProfile>> = merged.into_values().collect();
+    let slots: Vec<Option<usize>> =
+        claims.iter().map(|c| paths.binary_search(&c.path).ok()).collect();
 
     // Shape first: every bank's claim count must match its stream length.
-    let mut claimed_counts: BTreeMap<TopoPath, usize> = BTreeMap::new();
-    for c in claims {
-        *claimed_counts.entry(c.path).or_insert(0) += 1;
+    let mut claimed_counts = vec![0usize; paths.len()];
+    let mut unknown_counts: BTreeMap<TopoPath, usize> = BTreeMap::new();
+    for (c, slot) in claims.iter().zip(&slots) {
+        match slot {
+            Some(s) => claimed_counts[*s] += 1,
+            None => *unknown_counts.entry(c.path).or_insert(0) += 1,
+        }
     }
-    let mut shape_ok = true;
-    for (path, cmds) in &merged {
-        let claimed = claimed_counts.get(path).copied().unwrap_or(0);
-        if claimed != cmds.len() {
+    for ((path, bank), &claimed) in paths.iter().zip(&cmds).zip(&claimed_counts) {
+        if claimed != bank.len() {
             violations.push(TimingViolation::ClaimShapeMismatch {
                 path: *path,
                 claimed,
-                expected: cmds.len(),
+                expected: bank.len(),
             });
-            shape_ok = false;
         }
     }
-    for (path, claimed) in &claimed_counts {
-        if !merged.contains_key(path) {
-            violations.push(TimingViolation::ClaimShapeMismatch {
-                path: *path,
-                claimed: *claimed,
-                expected: 0,
-            });
-            shape_ok = false;
-        }
+    for (path, claimed) in unknown_counts {
+        violations.push(TimingViolation::ClaimShapeMismatch { path, claimed, expected: 0 });
     }
-    if !shape_ok {
+    if !violations.is_empty() {
         // Claim-to-command binding is meaningless under a shape mismatch.
         return violations;
     }
 
-    let mut cursors: BTreeMap<TopoPath, usize> = BTreeMap::new();
-    let mut bank_done: BTreeMap<TopoPath, Ps> = BTreeMap::new();
-    let mut channel_last: BTreeMap<usize, (usize, Ps)> = BTreeMap::new();
-    let mut pumps: BTreeMap<(usize, usize), PumpWindow> = BTreeMap::new();
+    // Channels and ranks are densely indexed too (there are at most as
+    // many of each as banks).
+    let channel_of = dense_index(&paths, |p| p.channel);
+    let rank_of = dense_index(&paths, TopoPath::rank_id);
+    let mut cursors = vec![0usize; paths.len()];
+    let mut bank_done: Vec<Option<Ps>> = vec![None; paths.len()];
+    let mut channel_last: Vec<Option<(usize, Ps)>> = vec![None; paths.len()];
+    let mut pumps: Vec<PumpWindow> =
+        paths.iter().map(|_| PumpWindow::new(budget.clone())).collect();
 
-    for (seq, claim) in claims.iter().enumerate() {
+    for (seq, (claim, slot)) in claims.iter().zip(&slots).enumerate() {
         let path = claim.path;
         let start = claim.start;
-        let index = {
-            let c = cursors.entry(path).or_insert(0);
-            let i = *c;
-            *c += 1;
-            i
-        };
-        let profile = merged[&path][index];
+        let bank = slot.expect("the shape check bound every claim to a streamed bank");
+        let index = cursors[bank];
+        cursors[bank] += 1;
+        let profile = cmds[bank][index];
 
         // 1. Bank occupancy.
-        if let Some(&prev_done) = bank_done.get(&path) {
+        if let Some(prev_done) = bank_done[bank] {
             if start < prev_done {
                 violations.push(TimingViolation::BankOverlap {
                     path,
@@ -279,11 +291,12 @@ pub fn verify_claims(
                 });
             }
         }
-        bank_done.insert(path, start + profile.duration.to_ps());
+        bank_done[bank] = Some(start + profile.duration.to_ps());
 
         // 2. In-order bus issue per channel.
-        match channel_last.get(&path.channel) {
-            Some(&(prev_seq, prev_start)) if start < prev_start => {
+        let channel = &mut channel_last[channel_of[bank]];
+        match *channel {
+            Some((prev_seq, prev_start)) if start < prev_start => {
                 violations.push(TimingViolation::BusOrderViolation {
                     channel: path.channel,
                     seq,
@@ -296,9 +309,7 @@ pub fn verify_claims(
                 // Keep the cursor at the later instant: subsequent claims
                 // are judged against the real high-water mark.
             }
-            _ => {
-                channel_last.insert(path.channel, (seq, start));
-            }
+            _ => *channel = Some((seq, start)),
         }
 
         // 3. Refresh alignment (Controller::with_refresh semantics: a
@@ -319,8 +330,7 @@ pub fn verify_claims(
         }
 
         // 4. Charge-pump / tFAW window per rank.
-        let window = pumps.entry(path.rank_id()).or_insert_with(|| PumpWindow::new(budget.clone()));
-        if let Err(earliest) = window.try_admit(start, budget.command_cost(profile)) {
+        if let Err(earliest) = pumps[rank_of[bank]].try_admit(start, budget.command_cost(profile)) {
             violations.push(TimingViolation::PumpOverrun {
                 rank: path.rank_id(),
                 seq,

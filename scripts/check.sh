@@ -79,6 +79,10 @@ echo "==> examples (expressions, quickstart)"
 cargo run -q --release --example expressions > /dev/null
 cargo run -q --release --example quickstart > /dev/null
 
+echo "==> repo benchmark (its unit tests, then --smoke: every workload, exit 1 on failure)"
+cargo test -q --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --smoke > /dev/null
+
 echo "==> batch bench smoke (vendored criterion --smoke fast path)"
 cargo bench -q -p elp2im-bench --bench batch -- --smoke > /dev/null
 
