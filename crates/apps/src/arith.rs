@@ -14,7 +14,7 @@
 //! slice of 2 XORs + 2 ANDs + 1 OR over the bit-planes.
 //!
 //! A functional column-major (bit-serial) adder over
-//! [`Elp2imDevice`](elp2im_core::device::Elp2imDevice) validates the
+//! [`Elp2imDevice`] validates the
 //! decomposition; the cost mixes below feed the Table 2/3 models.
 
 use crate::backend::{DesignKind, PimBackend};

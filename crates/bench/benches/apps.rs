@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the application studies and the
-//! event-driven controller.
+//! DRAM scheduler.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use elp2im_apps::backend::PimBackend;
@@ -8,7 +8,8 @@ use elp2im_apps::dracc::{table2_networks, DraccStudy};
 use elp2im_apps::tablescan::TableScanStudy;
 use elp2im_dram::command::CommandProfile;
 use elp2im_dram::constraint::PumpBudget;
-use elp2im_dram::controller::Controller;
+use elp2im_dram::geometry::TopoPath;
+use elp2im_dram::hierarchy::HierarchicalScheduler;
 use elp2im_dram::timing::Ddr3Timing;
 
 fn bench_studies(c: &mut Criterion) {
@@ -40,11 +41,11 @@ fn bench_studies(c: &mut Criterion) {
 fn bench_controller(c: &mut Criterion) {
     c.bench_function("controller_8banks_512_commands", |b| {
         let t = Ddr3Timing::ddr3_1600();
-        let streams: Vec<_> = (0..8).map(|bank| (bank, vec![CommandProfile::ap(&t); 64])).collect();
-        b.iter(|| {
-            let mut ctrl = Controller::new(8, PumpBudget::jedec_ddr3_1600());
-            ctrl.run_streams(&streams).unwrap()
-        })
+        let streams: Vec<_> = (0..8)
+            .map(|bank| (TopoPath::flat_bank(bank), vec![CommandProfile::ap(&t); 64]))
+            .collect();
+        let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
+        b.iter(|| sched.schedule(&streams).unwrap())
     });
 }
 

@@ -13,7 +13,7 @@ use elp2im_core::batch::{BatchConfig, DeviceArray};
 use elp2im_core::bitvec::BitVec;
 use elp2im_core::compile::LogicOp;
 use elp2im_dram::constraint::PumpBudget;
-use elp2im_dram::geometry::{Geometry, Topology};
+use elp2im_dram::geometry::{Geometry, TopoPath, Topology};
 
 const STRIPES: usize = 8;
 
@@ -156,11 +156,11 @@ fn bench_worker_calibration(c: &mut Criterion) {
     group.finish();
 }
 
-/// The interleaved scheduler alone (no functional simulation): per-bank
-/// streams of mixed ELP2IM commands under the JEDEC pump budget.
+/// The scheduler alone (no functional simulation): per-bank streams of
+/// mixed ELP2IM commands on one rank under the JEDEC pump budget.
 fn bench_scheduler(c: &mut Criterion) {
     use elp2im_dram::command::CommandProfile;
-    use elp2im_dram::interleave::InterleavedScheduler;
+    use elp2im_dram::hierarchy::HierarchicalScheduler;
     use elp2im_dram::timing::Ddr3Timing;
 
     let t = Ddr3Timing::ddr3_1600();
@@ -174,13 +174,13 @@ fn bench_scheduler(c: &mut Criterion) {
                     v.push(CommandProfile::app(&t));
                     v.push(CommandProfile::ap(&t));
                 }
-                (b, v)
+                (TopoPath::flat_bank(b), v)
             })
             .collect();
         let total: usize = streams.iter().map(|(_, v)| v.len()).sum();
         group.throughput(Throughput::Elements(total as u64));
         group.bench_with_input(BenchmarkId::new("banks", banks), &banks, |bch, _| {
-            let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
+            let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
             bch.iter(|| std::hint::black_box(sched.schedule(&streams).unwrap()));
         });
     }
@@ -194,7 +194,7 @@ fn bench_scheduler(c: &mut Criterion) {
 /// no-op recorder away); the third pays for event storage.
 fn bench_sink_overhead(c: &mut Criterion) {
     use elp2im_dram::command::CommandProfile;
-    use elp2im_dram::interleave::InterleavedScheduler;
+    use elp2im_dram::hierarchy::HierarchicalScheduler;
     use elp2im_dram::telemetry::{MemorySink, NullSink};
     use elp2im_dram::timing::Ddr3Timing;
 
@@ -207,11 +207,11 @@ fn bench_sink_overhead(c: &mut Criterion) {
                 v.push(CommandProfile::app(&t));
                 v.push(CommandProfile::ap(&t));
             }
-            (b, v)
+            (TopoPath::flat_bank(b), v)
         })
         .collect();
     let total: usize = streams.iter().map(|(_, v)| v.len()).sum();
-    let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
+    let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
 
     let mut group = c.benchmark_group("scheduler_sink");
     group.throughput(Throughput::Elements(total as u64));

@@ -28,6 +28,7 @@ use elp2im_core::synth::{synthesize, SynthOperands};
 use elp2im_core::validate::SubarrayShape;
 use elp2im_dram::constraint::PumpBudget;
 use elp2im_dram::geometry::{Geometry, TopoPath, Topology};
+use elp2im_dram::hierarchy::check_refresh;
 use elp2im_dram::json::Json;
 use elp2im_dram::units::Ps;
 use elp2im_dram::verify::ClaimedCommand;
@@ -69,6 +70,7 @@ Plan files (`--plan`) use pragmas plus `step` lines:
     # plan-shape: 16x2            data rows x reserved (DCC) rows
     # plan-budget: jedec          charge-pump budget (or `unconstrained`)
     # plan-refresh: 7800x350      refresh interval x duration, ns
+                                  (0 < duration < interval, else exit 3)
     # plan-live: b0.s0: r0 r1 R0  live rows of one (bank, subarray)
     step b0.s0: AAP([r2],r0)      a program bound to bank 0, subarray 0
     step b0.s0 @b1: AP(r0)        same, issuing on bank 1's stream
@@ -538,7 +540,15 @@ fn run_plan_mode(opts: &Options) -> i32 {
     }
     for file in &opts.files {
         match load_plan_file(file) {
-            Ok(named) => plans.push(named),
+            Ok(named) => {
+                // A window that leaves no issue time is bad input, not a
+                // plan to refute.
+                if let Err(e) = check_refresh(named.1.refresh) {
+                    eprintln!("error: {file}: plan-refresh: {e}");
+                    return 3;
+                }
+                plans.push(named);
+            }
             Err(e) => {
                 eprintln!("error: {e}");
                 return 2;

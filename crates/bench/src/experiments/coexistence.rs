@@ -5,15 +5,16 @@
 //!
 //! Four banks run a PIM operation stream (per design) while the other
 //! four serve regular activate-precharge accesses, all sharing the JEDEC
-//! charge-pump budget on the event-driven controller. The table reports
-//! how much regular-access throughput survives next to each design.
+//! charge-pump budget of one rank. The table reports how much
+//! regular-access throughput survives next to each design.
 
 use crate::report::{num, ratio, Table};
 use elp2im_apps::backend::{OpKind, PimBackend};
 use elp2im_core::compile::LogicOp;
 use elp2im_dram::command::CommandProfile;
 use elp2im_dram::constraint::PumpBudget;
-use elp2im_dram::controller::Controller;
+use elp2im_dram::geometry::TopoPath;
+use elp2im_dram::hierarchy::HierarchicalScheduler;
 use elp2im_dram::timing::Ddr3Timing;
 use elp2im_dram::units::Ps;
 
@@ -26,46 +27,31 @@ pub struct Coexistence {
     pub pim_rate_per_us: f64,
 }
 
-/// Runs `accesses` regular APs on banks 4–7 alongside repeating `pim`
-/// command streams on banks 0–3, interleaved fairly, and measures both
-/// completion rates.
+/// Schedules `accesses` regular APs spread over banks 4–7 alongside banks
+/// 0–3 each repeating the `pim` command stream for as many commands as an
+/// access bank holds, and measures both completion rates up to the last
+/// access. The scheduler issues whichever bank frees first, as the batch
+/// executor does.
 pub fn run_coexistence(pim: &[CommandProfile], accesses: usize) -> Coexistence {
-    let t = Ddr3Timing::ddr3_1600();
-    let ap = CommandProfile::ap(&t);
-    let mut ctrl = Controller::new(8, PumpBudget::jedec_ddr3_1600());
-
-    // Fair round-robin interleave of the eight banks.
-    let mut access_done: Vec<Ps> = Vec::new();
-    let mut pim_cmds = 0u64;
-    let per_access_bank = accesses / 4;
-    let mut pim_cursor = [0usize; 4];
-    let mut issued_access = [0usize; 4];
-    let mut last_access_finish = Ps::ZERO;
-    // Issue until every access retired; PIM streams repeat indefinitely.
-    while access_done.len() < per_access_bank * 4 {
-        for bank in 0..8usize {
-            if bank < 4 {
-                let cmd = &pim[pim_cursor[bank] % pim.len()];
-                pim_cursor[bank] += 1;
-                let _ = ctrl.issue(bank, cmd, Ps::ZERO).expect("valid bank");
-                pim_cmds += 1;
-            } else {
-                let idx = bank - 4;
-                if issued_access[idx] < per_access_bank {
-                    let done = ctrl.issue(bank, &ap, Ps::ZERO).expect("valid bank");
-                    issued_access[idx] += 1;
-                    access_done.push(done);
-                    if done > last_access_finish {
-                        last_access_finish = done;
-                    }
-                }
-            }
-        }
-    }
-    let us = last_access_finish.to_ns().as_f64() / 1000.0;
+    let per_bank = accesses / 4;
+    let ap = CommandProfile::ap(&Ddr3Timing::ddr3_1600());
+    let pim_stream: Vec<_> = pim.iter().cycle().take(per_bank).cloned().collect();
+    let streams: Vec<_> = (0..8)
+        .map(|b| {
+            let stream = if b < 4 { pim_stream.clone() } else { vec![ap.clone(); per_bank] };
+            (TopoPath::flat_bank(b), stream)
+        })
+        .collect();
+    let s = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600())
+        .schedule(&streams)
+        .expect("flat bank paths are valid");
+    let last_access = s.bank_done.iter().filter(|(p, _)| p.bank >= 4).map(|&(_, done)| done);
+    let last_access = last_access.max().unwrap_or(Ps::ZERO);
+    let pim_done = s.commands.iter().filter(|c| c.bank() < 4 && c.done <= last_access).count();
+    let us = last_access.to_ns().as_f64() / 1000.0;
     Coexistence {
-        access_rate_per_us: access_done.len() as f64 / us,
-        pim_rate_per_us: pim_cmds as f64 / us,
+        access_rate_per_us: (4 * per_bank) as f64 / us,
+        pim_rate_per_us: pim_done as f64 / us,
     }
 }
 
@@ -75,13 +61,13 @@ pub fn run() -> Table {
         "Coexistence: regular accesses on 4 banks while 4 banks compute (JEDEC pump budget)",
         &["PIM design", "access rate (/us)", "vs idle rank", "PIM commands (/us)"],
     );
-    // Baseline: nobody computing (PIM stream = nothing ⇒ use idle filler
-    // of zero-cost? Instead: run accesses alone on 4 banks).
-    let t = Ddr3Timing::ddr3_1600();
-    let ap = CommandProfile::ap(&t);
-    let mut idle = Controller::new(8, PumpBudget::jedec_ddr3_1600());
-    let streams: Vec<_> = (4..8).map(|b| (b, vec![ap.clone(); 250])).collect();
-    let s = idle.run_streams(&streams).unwrap();
+    // Baseline: the same accesses alone on banks 4–7.
+    let ap = CommandProfile::ap(&Ddr3Timing::ddr3_1600());
+    let streams: Vec<_> = (4..8).map(|b| (TopoPath::flat_bank(b), vec![ap.clone(); 250])).collect();
+    let s = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600())
+        .schedule(&streams)
+        .expect("flat bank paths are valid")
+        .stats;
     let idle_rate = 1000.0 / (s.makespan.as_f64() / 1000.0);
     table.push(vec!["(idle)".into(), num(idle_rate), ratio(1.0), num(0.0)]);
 

@@ -125,6 +125,24 @@ fn usage_errors_exit_3() {
 }
 
 #[test]
+fn degenerate_plan_refresh_is_a_usage_error() {
+    let dir = std::env::temp_dir().join("elp2im-lint-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, window) in [("zero-interval", "0x350"), ("all-blackout", "350x350")] {
+        let plan = dir.join(format!("refresh-{name}.prmt"));
+        std::fs::write(
+            &plan,
+            format!("# plan-refresh: {window}\n# plan-live: b0.s0: r0\nstep b0.s0: AP(r0)\n"),
+        )
+        .unwrap();
+        let out = lint(&["--plan", plan.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(3), "{window}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("plan-refresh"), "{window}");
+        let _ = std::fs::remove_file(&plan);
+    }
+}
+
+#[test]
 fn missing_and_malformed_files_exit_2() {
     let out = lint(&["/nonexistent/no-such-file.prmt"]);
     assert_eq!(out.status.code(), Some(2));

@@ -18,7 +18,7 @@
 //!   DDR3-1600 module).
 //! * **Scheduling is batch-at-once.** Each operation hands the complete
 //!   per-bank command streams, keyed by [`TopoPath`], to the stateless
-//!   [`HierarchicalScheduler`](elp2im_dram::hierarchy::HierarchicalScheduler),
+//!   [`HierarchicalScheduler`] (refresh off, as in the paper's evaluation),
 //!   which reports the true wall-clock [`makespan`](RunStats::makespan)
 //!   and [`pump_stall`](RunStats::pump_stall) under per-rank charge-pump
 //!   windows and per-channel buses, alongside the serial
@@ -57,8 +57,7 @@ use crate::validate::SubarrayShape;
 use elp2im_dram::command::CommandProfile;
 use elp2im_dram::constraint::PumpBudget;
 use elp2im_dram::geometry::{Geometry, TopoPath, Topology};
-use elp2im_dram::hierarchy::HierarchicalScheduler;
-use elp2im_dram::interleave::Schedule;
+use elp2im_dram::hierarchy::{HierarchicalScheduler, Schedule};
 use elp2im_dram::stats::RunStats;
 use elp2im_dram::telemetry::{MetricsRegistry, TraceSink};
 use std::collections::{BTreeMap, BTreeSet};
@@ -181,7 +180,7 @@ pub struct CheckedRun {
 /// The outcome of one batch operation: scheduling plus placement info.
 #[derive(Debug, Clone)]
 pub struct BatchRun {
-    /// Exact interleaved schedule of the operation's command streams.
+    /// Exact schedule of the operation's command streams (refresh off).
     pub schedule: Schedule,
     /// Banks (across every channel and rank) that carried at least one
     /// stripe of this operation.

@@ -14,7 +14,7 @@
 //!
 //! 1. **Row borrow checking.** Per (bank, subarray), physical rows are
 //!    tracked through the plan's steps with the same abstract domain the
-//!    program analyzer uses ([`AbstractVal`] / truth tables),
+//!    program analyzer uses ([`AbstractVal`](crate::analysis::AbstractVal) / truth tables),
 //!    interprocedurally: a step's final row states seed the next step's
 //!    live-in. Cross-program clobbers of live data rows
 //!    ([`PlanDiagnosticKind::RowClobber`]), reads of temps a previous step
@@ -29,8 +29,8 @@
 //!    programs on that bank's own stream, making every such pair ordered;
 //!    the analyzer proves that invariant instead of sampling it.
 //! 3. **Static timing verification.** The plan's command streams are
-//!    either scheduled (and the schedule's own claims re-verified,
-//!    including refresh obligations the scheduler does not model) or — if
+//!    either scheduled under the plan's budget and refresh window (and the
+//!    schedule's own claims re-verified) or — if
 //!    the plan carries explicit claims — checked directly by the
 //!    integer-picosecond interval analysis in `elp2im_dram::verify`:
 //!    charge-pump/tFAW windows per rank, in-order bus issue per channel,
@@ -90,7 +90,8 @@ pub struct BatchPlan {
     /// first touches that subarray (before any of the plan's own writes).
     pub live_in: BTreeMap<(usize, usize), BTreeSet<PhysRow>>,
     /// Optional refresh blackout `(interval, duration)` the issue instants
-    /// must avoid ([`elp2im_dram::controller::Controller`] semantics).
+    /// must avoid; the scheduled path schedules around it
+    /// ([`HierarchicalScheduler::with_refresh`] semantics).
     pub refresh: Option<(Ps, Ps)>,
     /// Optional explicit claimed schedule to verify instead of
     /// constructing one (the `k`-th claim naming a path binds to the
@@ -709,18 +710,15 @@ fn verify_timing(plan: &BatchPlan, diagnostics: &mut Vec<PlanDiagnostic>) -> Opt
 
     let claims: Vec<ClaimedCommand> = match &plan.claims {
         Some(claims) => claims.clone(),
-        None => {
-            match HierarchicalScheduler::new(plan.budget.clone())
-                .schedule_for(&plan.topology, &streams)
-            {
-                Ok(schedule) => schedule.claims(),
-                Err(_) => {
-                    // Paths were validated above; scheduling a validated
-                    // stream set cannot fail, but degrade gracefully.
-                    return None;
-                }
-            }
-        }
+        None => match HierarchicalScheduler::new(plan.budget.clone())
+            .with_refresh(plan.refresh)
+            .schedule_for(&plan.topology, &streams)
+        {
+            Ok(schedule) => schedule.claims(),
+            // Paths were validated above, so the one error left is a
+            // degenerate refresh window, which `verify_claims` refutes.
+            Err(_) => Vec::new(),
+        },
     };
     let violations = verify_claims(&plan.budget, plan.refresh, &streams, &claims);
     let accepted = violations.is_empty();
@@ -1007,10 +1005,32 @@ mod tests {
         ));
         plan.live_in.insert((0, 0), [PhysRow::Data(0)].into_iter().collect());
         plan.refresh = Some((Ps(7_800_000), Ps(350_000)));
-        // The scheduler starts at t = 0 — inside the blackout.
+        // A claim at t = 0 lands inside the blackout.
+        plan.claims = Some(vec![ClaimedCommand { path: TopoPath::flat_bank(0), start: Ps::ZERO }]);
         let report = certify(&plan);
         assert!(!report.is_accepted());
         assert_eq!(report.first_error().unwrap().kind.slug(), "plan-refresh-misalignment");
+    }
+
+    #[test]
+    fn scheduled_plan_certifies_around_refresh_blackouts() {
+        let ap = Program::new("ap", vec![Primitive::Ap { row: RowRef::Data(0) }]);
+        let mut plan = BatchPlan::new(topo(1), PumpBudget::unconstrained(), shape());
+        plan.steps.push(step(0, 0, ap.clone()));
+        plan.live_in.insert((0, 0), [PhysRow::Data(0)].into_iter().collect());
+        let plain = certify(&plan).makespan().unwrap();
+        plan.refresh = Some((Ps(7_800_000), Ps(350_000)));
+        // Scheduled around the blackout: the first command waits 350 ns.
+        let report = certify(&plan);
+        assert!(report.is_accepted(), "{:?}", report.first_error().map(|d| d.to_string()));
+        assert_eq!(report.makespan().unwrap().to_ps(), plain.to_ps() + Ps(350_000));
+        // A window that leaves no issue time is rejected, not ignored.
+        for window in [(Ps::ZERO, Ps(350_000)), (Ps(350_000), Ps(350_000))] {
+            plan.refresh = Some(window);
+            let report = certify(&plan);
+            assert!(!report.is_accepted());
+            assert_eq!(report.first_error().unwrap().kind.slug(), "plan-invalid-refresh");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! §6.3 of the paper evaluates every memory-resident case study under a
 //! *power constraint*: the power-delivery network and the wordline charge
 //! pumps can only sustain a bounded rate of row activations across the whole
-//! rank (cf. tFAW in JEDEC DDR3, and Shevgoor et al. [12]). Designs whose
+//! rank (cf. tFAW in JEDEC DDR3, and Shevgoor et al. \[12\]). Designs whose
 //! commands drive more wordlines — Ambit's TRA above all — exhaust the
 //! budget faster and lose bank-level parallelism.
 //!
@@ -19,8 +19,8 @@
 //!
 //! Two consumers exist: the analytic steady-state estimate
 //! ([`PumpBudget::max_parallel_banks`], used by the case studies) and the
-//! event-driven [`crate::controller::Controller`], which enforces the budget
-//! with an exact sliding window.
+//! [`crate::hierarchy::HierarchicalScheduler`], which enforces the budget
+//! per rank with an exact sliding window ([`PumpWindow`]).
 
 use crate::command::CommandProfile;
 use crate::timing::Ddr3Timing;
@@ -126,8 +126,8 @@ impl Default for PumpBudget {
     }
 }
 
-/// Exact sliding-window token accounting used by the event-driven
-/// controller.
+/// Exact sliding-window token accounting, one per rank, used by the
+/// scheduler and replayed by the timing verifier.
 #[derive(Debug, Clone)]
 pub struct PumpWindow {
     budget: PumpBudget,

@@ -26,12 +26,13 @@ pub enum DramError {
         /// Banks per rank.
         banks: usize,
     },
-    /// A command was issued to a bank that is still busy.
-    BankBusy {
-        /// The bank that was busy.
-        bank: usize,
-        /// When the bank becomes free.
-        free_at: Ps,
+    /// A refresh blackout `(interval, duration)` that leaves no time to
+    /// issue in: a zero interval, or a blackout at least as long as it.
+    InvalidRefresh {
+        /// Refresh interval (tREFI).
+        interval: Ps,
+        /// Blackout opening at the start of every interval (tRFC).
+        duration: Ps,
     },
     /// The charge-pump budget can never admit this command (its cost exceeds
     /// the entire window budget).
@@ -55,9 +56,12 @@ impl fmt::Display for DramError {
                     "path {path} outside topology ({channels} channels × {ranks} ranks × {banks} banks)"
                 )
             }
-            DramError::BankBusy { bank, free_at } => {
-                write!(f, "bank {bank} busy until {free_at}")
-            }
+            DramError::InvalidRefresh { interval, duration } => write!(
+                f,
+                "refresh blackout of {} ps every {} ps leaves no issue time \
+                 (need 0 < duration < interval)",
+                duration.0, interval.0
+            ),
             DramError::CommandExceedsPumpBudget { cost, budget } => {
                 write!(f, "command pump cost {cost:.2} exceeds the whole window budget {budget:.2}")
             }
@@ -75,8 +79,8 @@ mod tests {
     fn display_messages() {
         let e = DramError::BankOutOfRange { bank: 9, banks: 8 };
         assert_eq!(format!("{e}"), "bank 9 out of range (module has 8 banks)");
-        let e = DramError::BankBusy { bank: 1, free_at: Ps(100) };
-        assert!(format!("{e}").contains("busy"));
+        let e = DramError::InvalidRefresh { interval: Ps::ZERO, duration: Ps(350_000) };
+        assert!(format!("{e}").contains("refresh"));
         let e = DramError::CommandExceedsPumpBudget { cost: 9.0, budget: 4.0 };
         assert!(format!("{e}").contains("pump"));
         let e = DramError::PathOutOfRange {

@@ -1,253 +1,32 @@
-//! Deterministic interleaved scheduling of per-bank command streams.
-//!
-//! The batch execution layer (`elp2im-core::batch`) shards a bulk bitwise
-//! operation across banks and needs to know what the module's command bus
-//! actually does with the resulting per-bank primitive streams: the true
-//! wall-clock **makespan** under the shared charge-pump/tFAW window
-//! (§6.3), not the per-bank serial `busy_time`. [`InterleavedScheduler`]
-//! produces exactly that, plus an exact per-command trace
-//! ([`ScheduledCommand`]) a logic analyzer on the bus would record —
-//! which the golden-sequence tests pin down cycle by cycle.
-//!
-//! Unlike [`crate::controller::Controller`], the scheduler is stateless:
-//! every [`InterleavedScheduler::schedule`] call starts from an idle rank
-//! at t = 0 and is a pure function of its inputs, so results are
-//! reproducible and comparable across runs.
-//!
-//! This module is the single-rank view of the topology-aware
-//! [`crate::hierarchy::HierarchicalScheduler`]: `schedule` embeds its
-//! flat bank indices at channel 0, rank 0 ([`TopoPath::flat_bank`]) and
-//! runs the shared scheduling core, so the flat and hierarchical
-//! schedulers can never disagree on single-rank workloads.
-//!
-//! # Determinism
-//!
-//! The issue order is fully deterministic:
-//!
-//! 1. Streams are processed in ascending **bank index** (duplicate bank
-//!    entries are merged in input order).
-//! 2. At every step, the pending command with the earliest legal start
-//!    time (its bank's free time, clamped by in-order bus issue) is
-//!    chosen; ties go to the **lowest bank index**.
-//! 3. The charge-pump sliding window then defers the start further if the
-//!    rank-wide activation budget is exhausted; the deferral is recorded
-//!    as that command's `pump_stall`.
-
-use crate::command::{CommandClass, CommandProfile};
-use crate::constraint::PumpBudget;
-use crate::error::DramError;
-use crate::geometry::TopoPath;
-use crate::hierarchy::schedule_core;
-use crate::power::PowerModel;
-use crate::stats::RunStats;
-use crate::telemetry::{NullSink, TraceSink};
-use crate::units::{Ns, Ps};
-
-/// One command as actually issued on a channel's bus.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduledCommand {
-    /// Global issue order (0-based).
-    pub seq: usize,
-    /// Bank the command executes on. Flat single-rank schedules report
-    /// `c0.r0.b<bank>`.
-    pub path: TopoPath,
-    /// Position within that bank's stream.
-    pub index_in_bank: usize,
-    /// Command classification.
-    pub class: CommandClass,
-    /// Issue instant.
-    pub start: Ps,
-    /// Completion instant.
-    pub done: Ps,
-    /// Delay inserted before this command because its rank's
-    /// charge-pump/tFAW window was exhausted.
-    pub pump_stall: Ps,
-    /// Delay inserted before this command by in-order issue on its
-    /// channel's shared bus (zero when the bank itself was the limiter).
-    pub bus_wait: Ps,
-}
-
-impl ScheduledCommand {
-    /// Flat bank index, for single-rank traces.
-    pub fn bank(&self) -> usize {
-        self.path.bank
-    }
-}
-
-/// The full outcome of scheduling one batch of per-bank streams.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Schedule {
-    /// Exact bus trace, in issue order.
-    pub commands: Vec<ScheduledCommand>,
-    /// Aggregate statistics: `busy_time` is the per-bank serial sum,
-    /// `makespan` the true wall clock, `pump_stall` the summed deferrals.
-    pub stats: RunStats,
-    /// Completion time of each bank that had work, keyed by path and
-    /// sorted by it (banks without work are absent).
-    pub bank_done: Vec<(TopoPath, Ps)>,
-    /// Per-rank statistics, keyed by `(channel, rank)` and sorted by it;
-    /// ranks without work are absent. Each entry is the stats of that
-    /// rank's sub-trace (its own makespan and standby accrual), so a
-    /// [`RunStats::merge_parallel`] fold over the entries reproduces the
-    /// whole-schedule `stats`. Flat schedules have at most one entry,
-    /// keyed `(0, 0)`.
-    pub rank_stats: Vec<((usize, usize), RunStats)>,
-}
-
-impl Schedule {
-    /// Wall-clock makespan of the batch.
-    pub fn makespan(&self) -> Ns {
-        self.stats.makespan
-    }
-
-    /// The trace restricted to one flat bank (channel 0, rank 0), in
-    /// issue order.
-    pub fn bank_trace(&self, bank: usize) -> Vec<&ScheduledCommand> {
-        self.trace_for(TopoPath::flat_bank(bank))
-    }
-
-    /// The trace restricted to one bank path, in issue order.
-    pub fn trace_for(&self, path: TopoPath) -> Vec<&ScheduledCommand> {
-        self.commands.iter().filter(|c| c.path == path).collect()
-    }
-
-    /// The statistics of one rank's sub-trace, if it had work.
-    pub fn rank_stats_for(&self, channel: usize, rank: usize) -> Option<&RunStats> {
-        self.rank_stats.iter().find(|(id, _)| *id == (channel, rank)).map(|(_, s)| s)
-    }
-
-    /// Wall-clock makespan of one channel's sub-trace (zero when the
-    /// channel had no work).
-    pub fn channel_makespan(&self, channel: usize) -> Ns {
-        self.rank_stats
-            .iter()
-            .filter(|((c, _), _)| *c == channel)
-            .map(|(_, s)| s.makespan)
-            .fold(Ns::ZERO, |a, b| Ns(a.as_f64().max(b.as_f64())))
-    }
-
-    /// The first command that was stalled by the pump window, if any.
-    pub fn first_stall(&self) -> Option<&ScheduledCommand> {
-        self.commands.iter().find(|c| c.pump_stall > Ps::ZERO)
-    }
-
-    /// The schedule as a list of claims — `(path, start)` in bus issue
-    /// order — the form [`crate::verify::verify_claims`] checks. A
-    /// schedule produced by this crate's schedulers always verifies clean
-    /// against its own input streams.
-    pub fn claims(&self) -> Vec<crate::verify::ClaimedCommand> {
-        self.commands
-            .iter()
-            .map(|c| crate::verify::ClaimedCommand { path: c.path, start: c.start })
-            .collect()
-    }
-}
-
-/// Deterministic, stateless scheduler for per-bank command streams under
-/// the shared charge-pump budget.
-///
-/// ```
-/// use elp2im_dram::command::CommandProfile;
-/// use elp2im_dram::constraint::PumpBudget;
-/// use elp2im_dram::interleave::InterleavedScheduler;
-/// use elp2im_dram::timing::Ddr3Timing;
-///
-/// let t = Ddr3Timing::ddr3_1600();
-/// let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
-/// let streams: Vec<_> = (0..4).map(|b| (b, vec![CommandProfile::ap(&t); 2])).collect();
-/// let s = sched.schedule(&streams).unwrap();
-/// // Four banks fully overlap: makespan = one bank's serial time.
-/// assert!((s.makespan().as_f64() - 2.0 * t.ap().as_f64()).abs() < 0.01);
-/// assert_eq!(s.stats.total_commands(), 8);
-/// ```
-#[derive(Debug, Clone)]
-pub struct InterleavedScheduler {
-    budget: PumpBudget,
-    power: PowerModel,
-}
-
-impl InterleavedScheduler {
-    /// A scheduler enforcing `budget` with the default Micron power model.
-    pub fn new(budget: PumpBudget) -> Self {
-        InterleavedScheduler { budget, power: PowerModel::micron_ddr3_1600() }
-    }
-
-    /// Replaces the power model used for energy accounting.
-    pub fn with_power_model(mut self, power: PowerModel) -> Self {
-        self.power = power;
-        self
-    }
-
-    /// The enforced budget.
-    pub fn budget(&self) -> &PumpBudget {
-        &self.budget
-    }
-
-    /// Schedules `streams` (pairs of bank index and that bank's in-order
-    /// command stream) from an idle rank at t = 0 and returns the exact
-    /// trace plus aggregate statistics.
-    ///
-    /// # Errors
-    ///
-    /// [`DramError::BankOutOfRange`] if a stream names a bank at or above
-    /// `usize::MAX / 2` (a sentinel for obviously corrupt indices); any
-    /// bank index is otherwise legal — the scheduler sizes itself to the
-    /// largest one named.
-    pub fn schedule(
-        &self,
-        streams: &[(usize, Vec<CommandProfile>)],
-    ) -> Result<Schedule, DramError> {
-        // Monomorphized with the no-op sink: compiles to the untraced path.
-        self.schedule_with(streams, &mut NullSink)
-    }
-
-    /// [`InterleavedScheduler::schedule`] with a dynamic trace sink, for
-    /// callers that hold a `Box<dyn TraceSink>`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`InterleavedScheduler::schedule`].
-    pub fn schedule_traced(
-        &self,
-        streams: &[(usize, Vec<CommandProfile>)],
-        sink: &mut dyn TraceSink,
-    ) -> Result<Schedule, DramError> {
-        self.schedule_with(streams, sink)
-    }
-
-    /// Schedules `streams` while reporting every issued command to `sink`.
-    ///
-    /// Generic over the sink so the [`NullSink`] instantiation is zero
-    /// cost (verified by the criterion bench in `elp2im-bench`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`InterleavedScheduler::schedule`].
-    pub fn schedule_with<S: TraceSink + ?Sized>(
-        &self,
-        streams: &[(usize, Vec<CommandProfile>)],
-        sink: &mut S,
-    ) -> Result<Schedule, DramError> {
-        let lifted: Vec<(TopoPath, &[CommandProfile])> =
-            streams.iter().map(|(b, v)| (TopoPath::flat_bank(*b), v.as_slice())).collect();
-        schedule_core(&self.budget, &self.power, &lifted, sink)
-    }
-}
+//! Single-rank issue-rule tests: per-bank streams embedded at `c0.r0`
+//! ([`TopoPath::flat_bank`]) and scheduled by
+//! [`crate::hierarchy::HierarchicalScheduler`] — the view the golden
+//! traces and the single-module device pin.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::command::{CommandClass, CommandProfile};
+    use crate::constraint::PumpBudget;
+    use crate::geometry::TopoPath;
+    use crate::hierarchy::HierarchicalScheduler;
+    use crate::power::PowerModel;
     use crate::telemetry::StallReason;
     use crate::timing::Ddr3Timing;
+    use crate::units::{Ns, Ps};
 
     fn t() -> Ddr3Timing {
         Ddr3Timing::ddr3_1600()
     }
 
+    /// Lifts flat `(bank, stream)` pairs to `c0.r0` paths.
+    fn flat(streams: &[(usize, Vec<CommandProfile>)]) -> Vec<(TopoPath, Vec<CommandProfile>)> {
+        streams.iter().map(|(b, v)| (TopoPath::flat_bank(*b), v.clone())).collect()
+    }
+
     #[test]
     fn single_bank_serializes_and_makespan_equals_busy() {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
-        let s = sched.schedule(&[(0, vec![CommandProfile::ap(&t()); 5])]).unwrap();
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
+        let s = sched.schedule(&flat(&[(0, vec![CommandProfile::ap(&t()); 5])])).unwrap();
         assert_eq!(s.commands.len(), 5);
         assert!((s.stats.makespan.as_f64() - s.stats.busy_time.as_f64()).abs() < 1e-9);
         // Back-to-back, no gaps.
@@ -258,9 +37,9 @@ mod tests {
 
     #[test]
     fn banks_overlap_when_unconstrained() {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
         let streams: Vec<_> = (0..8).map(|b| (b, vec![CommandProfile::ap(&t()); 4])).collect();
-        let s = sched.schedule(&streams).unwrap();
+        let s = sched.schedule(&flat(&streams)).unwrap();
         let expect = CommandProfile::ap(&t()).duration.as_f64() * 4.0;
         assert!((s.stats.makespan.as_f64() - expect).abs() < 0.01);
         assert!((s.stats.busy_time.as_f64() - expect * 8.0).abs() < 0.01);
@@ -269,32 +48,32 @@ mod tests {
 
     #[test]
     fn issue_order_round_robins_by_bank_index() {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
         // Input deliberately out of order: the schedule must not care.
         let streams = vec![
             (2, vec![CommandProfile::ap(&t()); 2]),
             (0, vec![CommandProfile::ap(&t()); 2]),
             (1, vec![CommandProfile::ap(&t()); 2]),
         ];
-        let s = sched.schedule(&streams).unwrap();
+        let s = sched.schedule(&flat(&streams)).unwrap();
         let order: Vec<usize> = s.commands.iter().map(|c| c.bank()).collect();
         assert_eq!(order, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
     fn identical_inputs_produce_identical_schedules() {
-        let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
+        let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
         let streams: Vec<_> = (0..8).map(|b| (b, vec![CommandProfile::aap(&t()); 6])).collect();
-        let a = sched.schedule(&streams).unwrap();
-        let b = sched.schedule(&streams).unwrap();
+        let a = sched.schedule(&flat(&streams)).unwrap();
+        let b = sched.schedule(&flat(&streams)).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn pump_constraint_inserts_recorded_stalls() {
-        let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
+        let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
         let streams: Vec<_> = (0..8).map(|b| (b, vec![CommandProfile::ap(&t()); 8])).collect();
-        let s = sched.schedule(&streams).unwrap();
+        let s = sched.schedule(&flat(&streams)).unwrap();
         assert!(s.stats.pump_stall.as_f64() > 0.0);
         let first = s.first_stall().expect("8 concurrent AP streams must stall");
         // The JEDEC budget admits 4 activates per 40 ns window; the fifth
@@ -307,10 +86,10 @@ mod tests {
 
     #[test]
     fn duplicate_bank_entries_merge_in_order() {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
         let ap = CommandProfile::ap(&t());
         let app = CommandProfile::app(&t());
-        let s = sched.schedule(&[(0, vec![ap.clone()]), (0, vec![app.clone()])]).unwrap();
+        let s = sched.schedule(&flat(&[(0, vec![ap.clone()]), (0, vec![app.clone()])])).unwrap();
         assert_eq!(s.commands.len(), 2);
         assert_eq!(s.commands[0].class, CommandClass::Ap);
         assert_eq!(s.commands[1].class, CommandClass::App);
@@ -323,69 +102,37 @@ mod tests {
         // The `bank_done` doc promises "banks without work are absent":
         // an explicitly empty stream must not materialize a (bank, 0)
         // entry, whether it stands alone or rides along a duplicate.
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
         let s = sched
-            .schedule(&[
+            .schedule(&flat(&[
                 (0, vec![CommandProfile::ap(&t())]),
                 (3, vec![]),
                 (1, vec![CommandProfile::ap(&t())]),
-            ])
+            ]))
             .unwrap();
         let banks: Vec<usize> = s.bank_done.iter().map(|(p, _)| p.bank).collect();
         assert_eq!(banks, vec![0, 1]);
         // An empty duplicate of a working bank must not disturb it either.
         let s = sched
-            .schedule(&[(2, vec![]), (2, vec![CommandProfile::ap(&t())]), (2, vec![])])
+            .schedule(&flat(&[(2, vec![]), (2, vec![CommandProfile::ap(&t())]), (2, vec![])]))
             .unwrap();
         assert_eq!(s.bank_done.len(), 1);
         assert_eq!(s.bank_done[0].0, TopoPath::flat_bank(2));
         assert!(s.bank_done[0].1 > Ps::ZERO);
         // A schedule of only empty streams reports no banks at all.
-        let s = sched.schedule(&[(0, vec![]), (1, vec![])]).unwrap();
+        let s = sched.schedule(&flat(&[(0, vec![]), (1, vec![])])).unwrap();
         assert!(s.bank_done.is_empty());
         assert_eq!(s.stats.total_commands(), 0);
     }
 
     #[test]
-    fn agrees_with_event_driven_controller() {
-        // The stateless scheduler and the stateful controller implement
-        // the same issue rules; from an idle rank they must agree on the
-        // makespan.
-        use crate::controller::Controller;
-        for budget in [PumpBudget::unconstrained(), PumpBudget::jedec_ddr3_1600()] {
-            let streams: Vec<_> = (0..8)
-                .map(|b| {
-                    (
-                        b,
-                        vec![
-                            CommandProfile::aap(&t()),
-                            CommandProfile::app(&t()),
-                            CommandProfile::ap(&t()),
-                        ],
-                    )
-                })
-                .collect();
-            let s = InterleavedScheduler::new(budget.clone()).schedule(&streams).unwrap();
-            let mut c = Controller::new(8, budget);
-            let cs = c.run_streams(&streams).unwrap();
-            assert!(
-                (s.stats.makespan.as_f64() - cs.makespan.as_f64()).abs() < 1e-6,
-                "scheduler {} vs controller {}",
-                s.stats.makespan,
-                cs.makespan
-            );
-            assert!((s.stats.pump_stall.as_f64() - cs.pump_stall.as_f64()).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn traced_schedule_matches_untraced_and_fills_sink() {
         use crate::telemetry::MemorySink;
-        let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
+        let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
         let streams: Vec<_> = (0..8).map(|b| (b, vec![CommandProfile::ap(&t()); 6])).collect();
-        let plain = sched.schedule(&streams).unwrap();
+        let plain = sched.schedule(&flat(&streams)).unwrap();
         let mut sink = MemorySink::new();
-        let traced = sched.schedule_traced(&streams, &mut sink).unwrap();
+        let traced = sched.schedule_traced(&flat(&streams), &mut sink).unwrap();
         assert_eq!(plain, traced);
         assert_eq!(sink.len(), traced.commands.len());
         for (event, cmd) in sink.events.iter().zip(traced.commands.iter()) {
@@ -406,14 +153,14 @@ mod tests {
         // now reconcile exactly (integer picoseconds) with the total, and
         // the metrics registry's per-reason sums with its total.
         use crate::telemetry::MemorySink;
-        let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
+        let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
         // 12 banks, one AP each: seqs 0–3 issue at t = 0, seq 4 is pump-
         // deferred to 40 ns, seqs 5–7 bus-wait to 40 ns, and seq 8 hits
         // BOTH — the bus clamp to 40 ns and a again-full pump window
         // pushing it to 80 ns.
         let streams: Vec<_> = (0..12).map(|b| (b, vec![CommandProfile::ap(&t()); 2])).collect();
         let mut sink = MemorySink::new();
-        let s = sched.schedule_traced(&streams, &mut sink).unwrap();
+        let s = sched.schedule_traced(&flat(&streams), &mut sink).unwrap();
 
         // Both causes must actually occur in this workload, including at
         // least one command that waits on both at once.
@@ -441,8 +188,8 @@ mod tests {
 
     #[test]
     fn schedule_stamps_background_energy() {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
-        let s = sched.schedule(&[(0, vec![CommandProfile::ap(&t()); 4])]).unwrap();
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
+        let s = sched.schedule(&flat(&[(0, vec![CommandProfile::ap(&t()); 4])])).unwrap();
         let expect = PowerModel::micron_ddr3_1600().background_energy(s.stats.makespan, 1.0);
         assert!((s.stats.background_energy.as_f64() - expect.as_f64()).abs() < 1e-6);
         assert!(s.stats.average_power_mw() > s.stats.dynamic_power_mw());
@@ -450,8 +197,8 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_schedule() {
-        let sched = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
-        let s = sched.schedule(&[]).unwrap();
+        let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
+        let s = sched.schedule(&flat(&[])).unwrap();
         assert!(s.commands.is_empty());
         assert_eq!(s.stats.total_commands(), 0);
         assert_eq!(s.stats.makespan, Ns::ZERO);

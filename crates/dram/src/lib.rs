@@ -14,15 +14,11 @@
 //!   activate, +22 % per extra simultaneously driven wordline).
 //! * [`constraint`] — the charge-pump / tFAW power-constraint model that
 //!   limits bank-level parallelism (§6.3 of the paper).
-//! * [`bank`] and [`controller`] — an event-driven multi-bank simulator that
-//!   issues command streams under the pump constraint and accounts time,
-//!   energy and row activations.
-//! * [`interleave`] — a stateless, deterministic scheduler over per-bank
-//!   command streams, producing an exact bus trace and the true wall-clock
-//!   makespan for the batch execution layer.
-//! * [`hierarchy`] — the topology-aware generalization: channel/rank/bank
-//!   ([`geometry::Topology`]) scheduling with per-rank pump windows and
-//!   per-channel buses; the flat scheduler is its single-rank embedding.
+//! * [`hierarchy`] — the one scheduler: a stateless, deterministic
+//!   channel/rank/bank ([`geometry::Topology`]) scheduler over per-bank
+//!   command streams with per-rank pump windows, per-channel buses and
+//!   optional refresh blackouts, producing an exact bus trace and the true
+//!   wall-clock makespan for the batch execution layer.
 //! * [`verify`] — the static timing verifier: checks a *claimed* schedule
 //!   (bus-order issue instants) against the pump window, per-channel
 //!   in-order issue, bank occupancy and refresh blackouts, returning a
@@ -47,14 +43,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
-pub mod bank;
 pub mod command;
 pub mod constraint;
-pub mod controller;
 pub mod error;
 pub mod geometry;
 pub mod hierarchy;
-pub mod interleave;
+#[cfg(test)]
+mod interleave;
 pub mod json;
 pub mod power;
 pub mod stats;
@@ -65,11 +60,9 @@ pub mod verify;
 
 pub use command::{CommandClass, CommandProfile};
 pub use constraint::PumpBudget;
-pub use controller::Controller;
 pub use error::DramError;
 pub use geometry::{Geometry, RowAddr, TopoPath, Topology};
-pub use hierarchy::HierarchicalScheduler;
-pub use interleave::{InterleavedScheduler, Schedule, ScheduledCommand};
+pub use hierarchy::{HierarchicalScheduler, Schedule, ScheduledCommand};
 pub use json::Json;
 pub use power::PowerModel;
 pub use stats::RunStats;

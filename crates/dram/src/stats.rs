@@ -1,5 +1,5 @@
-//! Run statistics collected by the event-driven controller and by the
-//! analytic device models.
+//! Run statistics collected by the scheduler and by the analytic device
+//! models.
 
 use crate::command::CommandClass;
 use crate::units::{Ns, Picojoules};

@@ -1,10 +1,10 @@
 //! Per-command telemetry: trace sinks, metrics, and exporters.
 //!
 //! The analytic [`crate::stats::RunStats`] block answers "how much, in
-//! total" — this module answers "what happened, when". Both the
-//! event-driven [`crate::controller::Controller`] and the bank-parallel
-//! [`crate::interleave::InterleavedScheduler`] can feed every issued
-//! command into a [`TraceSink`]:
+//! total" — this module answers "what happened, when". The
+//! [`crate::hierarchy::HierarchicalScheduler`] can feed every issued
+//! command into a [`TraceSink`], with its wait split exactly into bus,
+//! refresh and pump components:
 //!
 //! * [`NullSink`] — the zero-cost default; its `record` is an inline no-op
 //!   so monomorphized hot paths compile to the untraced code.
@@ -84,7 +84,7 @@ impl fmt::Display for StallReason {
 /// precedence, kept for coarse per-reason *counts*.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommandEvent {
-    /// Global issue order (0-based, per producing controller/scheduler).
+    /// Global issue order (0-based, per schedule).
     pub seq: u64,
     /// Bank the command executed on, as a topology path. Single-module
     /// producers report `c0.r0.b<bank>` ([`TopoPath::flat_bank`]).
@@ -99,7 +99,9 @@ pub struct CommandEvent {
     pub done: Ps,
     /// `start - issue`: how long the command waited in total.
     pub stall: Ps,
-    /// Portion of `stall` spent waiting for the target bank to go idle.
+    /// Portion of `stall` spent waiting for the target bank to go idle
+    /// (zero from the scheduler, which requests each command at its
+    /// bank-free instant).
     pub bank_wait: Ps,
     /// Portion of `stall` spent waiting for the shared channel bus.
     pub bus_wait: Ps,

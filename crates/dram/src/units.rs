@@ -4,8 +4,8 @@
 //!
 //! * [`Ns`] — a floating-point nanosecond quantity for analytic model
 //!   arithmetic (latency sums, rates).
-//! * [`Ps`] — an integer picosecond timestamp for the event-driven
-//!   controller, where exact ordering matters.
+//! * [`Ps`] — an integer picosecond timestamp for the scheduler and the
+//!   timing verifier, where exact ordering matters.
 
 use std::fmt;
 use std::iter::Sum;
@@ -94,7 +94,8 @@ impl fmt::Display for Ns {
 
 /// An absolute timestamp (or exact duration) in integer picoseconds.
 ///
-/// Used by the event-driven controller so that event ordering is exact.
+/// Used by the scheduler and the timing verifier so that event ordering
+/// is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ps(pub u64);
 

@@ -1,8 +1,8 @@
 //! Static timing verification of claimed schedules.
 //!
-//! The schedulers ([`crate::interleave::InterleavedScheduler`],
-//! [`crate::hierarchy::HierarchicalScheduler`]) *construct* legal
-//! schedules; this module *checks* them. [`verify_claims`] takes a claimed
+//! The scheduler ([`crate::hierarchy::HierarchicalScheduler`])
+//! *constructs* legal schedules; this module *checks* them.
+//! [`verify_claims`] takes a claimed
 //! bus-order schedule — a list of `(path, start)` instants — together with
 //! the per-bank command streams it claims to realize, and discharges four
 //! proof obligations over exact integer-picosecond intervals, without
@@ -16,9 +16,9 @@
 //!    [`PumpWindow`] at the claimed instants never overdraws the budget.
 //! 4. **Refresh alignment** — when a `(interval, duration)` refresh
 //!    blackout is declared, no command starts inside a blackout (the
-//!    semantics of [`crate::controller::Controller::with_refresh`]).
+//!    semantics of [`crate::hierarchy::HierarchicalScheduler::with_refresh`]).
 //!
-//! A schedule produced by either scheduler verifies clean by construction
+//! A schedule produced by the scheduler verifies clean by construction
 //! (pinned against the golden traces in the tests below); any perturbed
 //! schedule is rejected with a concrete counterexample naming the claim,
 //! the instant, and the interval it violates. The plan-level static
@@ -28,8 +28,7 @@ use crate::command::CommandProfile;
 use crate::constraint::{PumpBudget, PumpWindow};
 use crate::error::DramError;
 use crate::geometry::TopoPath;
-use crate::hierarchy::HierarchicalScheduler;
-use crate::interleave::Schedule;
+use crate::hierarchy::{check_refresh, HierarchicalScheduler, Schedule};
 use crate::telemetry::StallReason;
 use crate::units::Ps;
 use std::collections::BTreeMap;
@@ -105,6 +104,14 @@ pub enum TimingViolation {
         /// Earliest instant the window would admit the command.
         earliest: Ps,
     },
+    /// The declared refresh window leaves no time to issue in (see
+    /// [`check_refresh`]); no claim is checked against it.
+    InvalidRefresh {
+        /// Refresh interval.
+        interval: Ps,
+        /// Blackout opening at the start of every interval.
+        duration: Ps,
+    },
     /// The command starts inside a refresh blackout.
     RefreshMisalignment {
         /// Claim index (bus order).
@@ -129,6 +136,7 @@ impl TimingViolation {
             TimingViolation::BankOverlap { .. } => "bank-overlap",
             TimingViolation::BusOrderViolation { .. } => "bus-order-violation",
             TimingViolation::PumpOverrun { .. } => "pump-overrun",
+            TimingViolation::InvalidRefresh { .. } => "invalid-refresh",
             TimingViolation::RefreshMisalignment { .. } => "refresh-misalignment",
         }
     }
@@ -142,7 +150,8 @@ impl TimingViolation {
             TimingViolation::BankOverlap { .. } => StallReason::Bank,
             TimingViolation::BusOrderViolation { .. } => StallReason::Bus,
             TimingViolation::PumpOverrun { .. } => StallReason::Pump,
-            TimingViolation::RefreshMisalignment { .. } => StallReason::Refresh,
+            TimingViolation::InvalidRefresh { .. }
+            | TimingViolation::RefreshMisalignment { .. } => StallReason::Refresh,
         }
     }
 }
@@ -178,6 +187,11 @@ impl fmt::Display for TimingViolation {
                 "rank c{}.r{}: claim #{seq} ({path} command #{index}) at {} ps overdraws the \
                  charge-pump window (earliest legal start {} ps)",
                 rank.0, rank.1, start.0, earliest.0
+            ),
+            TimingViolation::InvalidRefresh { interval, duration } => write!(
+                f,
+                "refresh blackout of {} ps every {} ps leaves no issue time",
+                duration.0, interval.0
             ),
             TimingViolation::RefreshMisalignment { seq, path, index, start, blackout_until } => {
                 write!(
@@ -218,13 +232,16 @@ fn dense_index<K: Ord>(paths: &[TopoPath], key: impl Fn(TopoPath) -> K) -> Vec<u
 /// Checks `claims` (in claimed bus order) against `streams` under `budget`
 /// and an optional `(interval, duration)` refresh blackout. Returns every
 /// refuted obligation; an empty vector is the certificate that the claimed
-/// schedule is legal.
+/// schedule is legal. A degenerate refresh window is refuted on its own.
 pub fn verify_claims(
     budget: &PumpBudget,
     refresh: Option<(Ps, Ps)>,
     streams: &[(TopoPath, Vec<CommandProfile>)],
     claims: &[ClaimedCommand],
 ) -> Vec<TimingViolation> {
+    if let Err(DramError::InvalidRefresh { interval, duration }) = check_refresh(refresh) {
+        return vec![TimingViolation::InvalidRefresh { interval, duration }];
+    }
     let merged = merge_streams(streams);
     let mut violations = Vec::new();
     // Per-bank, per-channel and per-rank state lives in dense vectors: a
@@ -312,20 +329,18 @@ pub fn verify_claims(
             _ => *channel = Some((seq, start)),
         }
 
-        // 3. Refresh alignment (Controller::with_refresh semantics: a
-        // blackout of `duration` opens at the start of every `interval`).
+        // 3. Refresh alignment: a blackout of `duration` opens at the
+        // start of every `interval` (validated non-degenerate above).
         if let Some((interval, duration)) = refresh {
-            if interval > Ps::ZERO {
-                let offset = Ps(start.0 % interval.0);
-                if offset < duration {
-                    violations.push(TimingViolation::RefreshMisalignment {
-                        seq,
-                        path,
-                        index,
-                        start,
-                        blackout_until: Ps(start.0 - offset.0 + duration.0),
-                    });
-                }
+            let offset = Ps(start.0 % interval.0);
+            if offset < duration {
+                violations.push(TimingViolation::RefreshMisalignment {
+                    seq,
+                    path,
+                    index,
+                    start,
+                    blackout_until: Ps(start.0 - offset.0 + duration.0),
+                });
             }
         }
 
@@ -347,20 +362,23 @@ pub fn verify_claims(
     violations
 }
 
-/// Schedules `streams` with the deterministic hierarchical rules, then
-/// verifies the resulting schedule's own claims (including the optional
-/// refresh obligation the scheduler itself does not model). On success the
-/// schedule is the constructive proof; any violations refute it.
+/// Schedules `streams` with the deterministic hierarchical rules under
+/// `budget` and the optional `refresh` blackout, then verifies the
+/// resulting schedule's own claims against the same obligations. On
+/// success the schedule is the constructive proof; any violations refute
+/// it.
 ///
 /// # Errors
 ///
-/// Propagates [`HierarchicalScheduler::schedule`] errors.
+/// Propagates [`HierarchicalScheduler::schedule`] errors, including
+/// [`DramError::InvalidRefresh`] for a degenerate refresh window.
 pub fn prove(
     budget: &PumpBudget,
     refresh: Option<(Ps, Ps)>,
     streams: &[(TopoPath, Vec<CommandProfile>)],
 ) -> Result<(Schedule, Vec<TimingViolation>), DramError> {
-    let schedule = HierarchicalScheduler::new(budget.clone()).schedule(streams)?;
+    let schedule =
+        HierarchicalScheduler::new(budget.clone()).with_refresh(refresh).schedule(streams)?;
     let violations = verify_claims(budget, refresh, streams, &schedule.claims());
     Ok((schedule, violations))
 }
@@ -368,7 +386,6 @@ pub fn prove(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interleave::InterleavedScheduler;
     use crate::timing::Ddr3Timing;
 
     fn t() -> Ddr3Timing {
@@ -418,11 +435,10 @@ mod tests {
     #[test]
     fn flat_scheduler_output_verifies_clean() {
         let budget = PumpBudget::jedec_ddr3_1600();
-        let flat: Vec<_> = (0..8).map(|b| (b, vec![CommandProfile::ap(&t()); 6])).collect();
-        let s = InterleavedScheduler::new(budget.clone()).schedule(&flat).unwrap();
-        let lifted: Vec<_> =
-            flat.iter().map(|(b, v)| (TopoPath::flat_bank(*b), v.clone())).collect();
-        assert!(verify_claims(&budget, None, &lifted, &s.claims()).is_empty());
+        let flat: Vec<_> =
+            (0..8).map(|b| (TopoPath::flat_bank(b), vec![CommandProfile::ap(&t()); 6])).collect();
+        let s = HierarchicalScheduler::new(budget.clone()).schedule(&flat).unwrap();
+        assert!(verify_claims(&budget, None, &flat, &s.claims()).is_empty());
     }
 
     #[test]
@@ -527,6 +543,18 @@ mod tests {
         let (schedule, violations) = prove(&budget, None, &ss).unwrap();
         assert!(violations.is_empty());
         assert!(schedule.stats.makespan.as_f64() > 0.0);
+        // With refresh the proof schedules around the blackouts and still
+        // certifies; a degenerate window is a scheduling error.
+        let refresh = Some((Ps(500_000), Ps(260_000)));
+        let (with_refresh, violations) = prove(&budget, refresh, &ss).unwrap();
+        assert!(violations.is_empty(), "{violations:?}");
+        assert!(with_refresh.stats.makespan > schedule.stats.makespan);
+        let degenerate = Some((Ps::ZERO, Ps(260_000)));
+        assert!(matches!(prove(&budget, degenerate, &ss), Err(DramError::InvalidRefresh { .. })));
+        assert_eq!(
+            verify_claims(&budget, degenerate, &ss, &schedule.claims()),
+            vec![TimingViolation::InvalidRefresh { interval: Ps::ZERO, duration: Ps(260_000) }]
+        );
     }
 
     #[test]

@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (-D warnings; the project crates, not vendor/)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+
 echo "==> cargo test"
 cargo test --workspace -q
 

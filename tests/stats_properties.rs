@@ -1,28 +1,29 @@
 //! Property-based tests over `RunStats` merge semantics and their
-//! agreement with the schedulers:
+//! agreement with the scheduler:
 //!
 //! * `merge_parallel` and `merge_sequential` are associative (and
 //!   parallel merge is commutative), so batch layers may fold run blocks
 //!   in any grouping;
-//! * `merge_sequential` over per-operation scheduler runs agrees with the
-//!   event-driven controller replaying the same operations back to back;
+//! * `merge_sequential` over per-operation schedules agrees with one
+//!   schedule of the concatenated operations on one bank;
 //! * `merge_parallel` over single-bank schedules agrees with one
 //!   interleaved schedule of the same streams when banks don't contend;
-//! * the hierarchical scheduler embeds the flat one (single-module paths
-//!   produce bit-identical schedules), channels fold with
-//!   `merge_parallel` under any budget (they share nothing), and each
-//!   single-rank channel's stats slice agrees with the event-driven
-//!   controller replaying that rank alone.
+//! * channels fold with `merge_parallel` under any budget (they share
+//!   nothing), and each single-rank channel's stats slice equals that
+//!   rank's streams scheduled alone;
+//! * every schedule — any topology, budget and refresh window — passes
+//!   the independent timing checker, its traced waits reconcile, and no
+//!   command starts inside a refresh blackout.
 
 use elp2im::dram::command::{CommandClass, CommandProfile};
 use elp2im::dram::constraint::PumpBudget;
-use elp2im::dram::controller::Controller;
 use elp2im::dram::geometry::TopoPath;
 use elp2im::dram::hierarchy::HierarchicalScheduler;
-use elp2im::dram::interleave::InterleavedScheduler;
 use elp2im::dram::stats::RunStats;
+use elp2im::dram::telemetry::MemorySink;
 use elp2im::dram::timing::Ddr3Timing;
-use elp2im::dram::units::{Ns, Picojoules};
+use elp2im::dram::units::{Ns, Picojoules, Ps};
+use elp2im::dram::verify::verify_claims;
 use proptest::prelude::*;
 
 fn stats_strategy() -> impl Strategy<Value = RunStats> {
@@ -123,31 +124,22 @@ proptest! {
     }
 
     /// Folding per-operation scheduler runs with `merge_sequential`
-    /// reproduces the event-driven controller replaying the same
-    /// operations back to back on one bank.
+    /// reproduces one schedule of the operations concatenated on one
+    /// bank (a lone bank never stalls, so runs simply add up).
     #[test]
     fn sequential_merge_agrees_with_serial_replay(
         ops in proptest::collection::vec(profile_stream(), 1..5),
     ) {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
+        let bank = TopoPath::flat_bank(0);
         let mut folded = RunStats::new();
         for stream in &ops {
-            let s = sched.schedule(&[(0, stream.clone())]).unwrap();
+            let s = sched.schedule(&[(bank, stream.clone())]).unwrap();
             folded.merge_sequential(&s.stats);
         }
-
-        let mut ctrl = Controller::new(1, PumpBudget::unconstrained());
-        let mut replay = RunStats::new();
-        for stream in &ops {
-            let s = ctrl.run_streams(&[(0, stream.clone())]).unwrap();
-            replay.merge_sequential(&s);
-        }
+        let replay = sched.schedule(&[(bank, ops.concat())]).unwrap().stats;
         assert_stats_close(&folded, &replay);
-        // And the grand totals match the controller's cumulative state.
-        prop_assert_eq!(replay.total_commands(), ctrl.stats().total_commands());
-        prop_assert!(
-            (replay.makespan.as_f64() - ctrl.stats().makespan.as_f64()).abs() < 1e-6
-        );
+        prop_assert_eq!(replay.total_commands(), ops.iter().map(Vec::len).sum::<usize>() as u64);
     }
 
     /// Folding independent single-bank schedules with `merge_parallel`
@@ -158,37 +150,22 @@ proptest! {
     fn parallel_merge_agrees_with_interleaved_schedule(
         streams in proptest::collection::vec(profile_stream(), 1..5),
     ) {
-        let sched = InterleavedScheduler::new(PumpBudget::unconstrained());
-        let banked: Vec<_> =
-            streams.iter().cloned().enumerate().collect();
-
-        let whole = sched.schedule(&banked).unwrap();
-
-        let mut folded = RunStats::new();
-        for (bank, stream) in &banked {
-            let s = sched.schedule(&[(*bank, stream.clone())]).unwrap();
-            folded.merge_parallel(&s.stats);
-        }
-        assert_stats_close(&folded, &whole.stats);
-    }
-
-    /// Single-module paths through the hierarchical scheduler reproduce
-    /// the flat interleaved scheduler bit for bit — same commands, same
-    /// instants, same stats — even under the constrained JEDEC budget.
-    #[test]
-    fn hierarchical_flat_embedding_matches_interleaved(
-        streams in proptest::collection::vec(profile_stream(), 1..5),
-    ) {
-        let flat = InterleavedScheduler::new(PumpBudget::jedec_ddr3_1600());
-        let hier = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
-        let banked: Vec<_> = streams.iter().cloned().enumerate().collect();
-        let pathed: Vec<_> = streams
+        let sched = HierarchicalScheduler::new(PumpBudget::unconstrained());
+        let banked: Vec<_> = streams
             .iter()
             .cloned()
             .enumerate()
             .map(|(b, s)| (TopoPath::flat_bank(b), s))
             .collect();
-        prop_assert_eq!(flat.schedule(&banked).unwrap(), hier.schedule(&pathed).unwrap());
+
+        let whole = sched.schedule(&banked).unwrap();
+
+        let mut folded = RunStats::new();
+        for stream in &banked {
+            let s = sched.schedule(std::slice::from_ref(stream)).unwrap();
+            folded.merge_parallel(&s.stats);
+        }
+        assert_stats_close(&folded, &whole.stats);
     }
 
     /// Channels share no hardware, so folding per-channel hierarchical
@@ -220,38 +197,72 @@ proptest! {
     }
 
     /// With one rank per channel, bus and pump domains coincide, so each
-    /// channel's stats slice of the hierarchical schedule agrees with the
-    /// event-driven controller replaying that rank's streams alone.
+    /// channel's stats slice of the whole schedule equals that rank's
+    /// streams scheduled alone.
     #[test]
-    fn per_rank_stats_agree_with_controller(
+    fn per_rank_stats_agree_with_ranks_scheduled_alone(
         ranks in proptest::collection::vec(
             proptest::collection::vec(profile_stream(), 1..4),
             1..4,
         ),
     ) {
-        let budget = PumpBudget::jedec_ddr3_1600();
-        let sched = HierarchicalScheduler::new(budget.clone());
-        let streams: Vec<_> = ranks
+        let sched = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600());
+        let rank_streams: Vec<Vec<_>> = ranks
             .iter()
             .enumerate()
-            .flat_map(|(c, banks)| {
+            .map(|(c, banks)| {
                 banks
                     .iter()
                     .cloned()
                     .enumerate()
-                    .map(move |(b, s)| (TopoPath::new(c, 0, b), s))
+                    .map(|(b, s)| (TopoPath::new(c, 0, b), s))
+                    .collect()
             })
             .collect();
-        let whole = sched.schedule(&streams).unwrap();
-        for (c, banks) in ranks.iter().enumerate() {
-            let mut ctrl = Controller::new(banks.len(), budget.clone());
-            let banked: Vec<_> = banks.iter().cloned().enumerate().collect();
-            let replay = ctrl.run_streams(&banked).unwrap();
+        let whole = sched.schedule(&rank_streams.concat()).unwrap();
+        for (c, alone) in rank_streams.iter().enumerate() {
             let slice = whole.rank_stats_for(c, 0).expect("every channel has work");
-            prop_assert_eq!(slice.commands.clone(), replay.commands.clone());
-            prop_assert!((slice.busy_time.as_f64() - replay.busy_time.as_f64()).abs() < 1e-6);
-            prop_assert!((slice.makespan.as_f64() - replay.makespan.as_f64()).abs() < 1e-6);
-            prop_assert!((slice.pump_stall.as_f64() - replay.pump_stall.as_f64()).abs() < 1e-6);
+            prop_assert_eq!(slice, &sched.schedule(alone).unwrap().stats);
+        }
+    }
+
+    /// The scheduler and the independent checker agree on every topology,
+    /// budget and refresh window: the schedule's own claims verify clean,
+    /// every traced command's waits reconcile to the picosecond, and no
+    /// command starts inside a refresh blackout.
+    #[test]
+    fn scheduler_and_checker_agree_under_refresh(
+        streams in proptest::collection::vec(
+            (0usize..4, 0usize..2, 0usize..4, profile_stream()),
+            1..12,
+        ),
+        jedec in 0usize..2,
+        window in 0usize..3,
+    ) {
+        let t = Ddr3Timing::ddr3_1600();
+        let budget =
+            if jedec == 1 { PumpBudget::jedec_ddr3_1600() } else { PumpBudget::unconstrained() };
+        let refresh = [
+            None,
+            Some((Ps(500_000), t.t_rfc.to_ps())),
+            Some((t.t_refi.to_ps(), t.t_rfc.to_ps())),
+        ][window];
+        let streams: Vec<_> =
+            streams.into_iter().map(|(c, r, b, s)| (TopoPath::new(c, r, b), s)).collect();
+        let sched = HierarchicalScheduler::new(budget.clone()).with_refresh(refresh);
+        let mut sink = MemorySink::new();
+        let schedule = sched.schedule_traced(&streams, &mut sink).unwrap();
+        let violations = verify_claims(&budget, refresh, &streams, &schedule.claims());
+        prop_assert!(violations.is_empty(), "{:?}", violations);
+        prop_assert_eq!(sink.events.len(), schedule.commands.len());
+        for e in &sink.events {
+            prop_assert!(e.waits_reconcile(), "seq {}: waits do not sum to stall", e.seq);
+        }
+        prop_assert!(sink.metrics.stalls_reconcile());
+        if let Some((interval, duration)) = refresh {
+            for c in &schedule.commands {
+                prop_assert!(c.start.0 % interval.0 >= duration.0, "{:?} starts in a blackout", c);
+            }
         }
     }
 }

@@ -1,13 +1,14 @@
 //! Consistency between the three timing views: the analytic program
-//! model, the functional engine's accounting, and the event-driven
-//! controller simulation.
+//! model, the functional engine's accounting, and the scheduled
+//! (event-by-event) simulation.
 
 use elp2im::apps::backend::PimBackend;
 use elp2im::core::bitvec::BitVec;
 use elp2im::core::compile::{compile, CompileMode, LogicOp, Operands};
 use elp2im::core::engine::SubarrayEngine;
 use elp2im::dram::constraint::PumpBudget;
-use elp2im::dram::controller::Controller;
+use elp2im::dram::geometry::TopoPath;
+use elp2im::dram::hierarchy::HierarchicalScheduler;
 use elp2im::dram::timing::Ddr3Timing;
 
 /// The engine's busy-time accounting equals the program's analytic
@@ -38,8 +39,8 @@ fn engine_accounting_matches_program_latency() {
     }
 }
 
-/// The analytic pump-constraint estimate agrees with the event-driven
-/// controller for both ELP2IM and Ambit operation streams.
+/// The analytic pump-constraint estimate agrees with the scheduler for
+/// ELP2IM, Ambit and DRISA operation streams.
 #[test]
 fn analytic_parallelism_matches_event_driven_simulation() {
     let budget = PumpBudget::jedec_ddr3_1600();
@@ -58,14 +59,13 @@ fn analytic_parallelism_matches_event_driven_simulation() {
                 for _ in 0..reps {
                     v.extend(profiles.iter().cloned());
                 }
-                (b, v)
+                (TopoPath::flat_bank(b), v)
             })
             .collect();
-        let mut ctrl = Controller::new(8, budget.clone());
-        let stats = ctrl.run_streams(&streams).unwrap();
+        let stats = HierarchicalScheduler::new(budget.clone()).schedule(&streams).unwrap().stats;
         let effective = stats.busy_time.as_f64() / stats.makespan.as_f64();
         // The analytic estimate is a fluid (rate-based) bound; the
-        // event-driven controller adds discretization. For Ambit the gap
+        // scheduler adds discretization. For Ambit the gap
         // is larger because its TRA-AAP draw (4.44 tokens) exceeds the
         // whole 4-token window and must wait for an *empty* window —
         // pushing the simulated drop to ~83 %, which is in fact the
@@ -82,7 +82,7 @@ fn analytic_parallelism_matches_event_driven_simulation() {
     }
 }
 
-/// Unconstrained controller achieves full overlap; the constrained one
+/// The unconstrained scheduler achieves full overlap; the constrained one
 /// never exceeds the analytic bound.
 #[test]
 fn constraint_bounds_hold_in_simulation() {
@@ -95,19 +95,19 @@ fn constraint_bounds_hold_in_simulation() {
             for _ in 0..16 {
                 v.extend(profiles.iter().cloned());
             }
-            (b, v)
+            (TopoPath::flat_bank(b), v)
         })
         .collect();
 
-    let mut free = Controller::new(8, PumpBudget::unconstrained());
-    let sf = free.run_streams(&streams).unwrap();
+    let sf = HierarchicalScheduler::new(PumpBudget::unconstrained()).schedule(&streams);
+    let sf = sf.unwrap().stats;
     assert!(
         (sf.busy_time.as_f64() / sf.makespan.as_f64() - 8.0).abs() < 0.05,
         "unconstrained must reach 8 banks"
     );
 
-    let mut tight = Controller::new(8, PumpBudget::jedec_ddr3_1600());
-    let st = tight.run_streams(&streams).unwrap();
+    let st = HierarchicalScheduler::new(PumpBudget::jedec_ddr3_1600()).schedule(&streams);
+    let st = st.unwrap().stats;
     let analytic = PumpBudget::jedec_ddr3_1600().max_parallel_banks(&profiles, 8);
     let simulated = st.busy_time.as_f64() / st.makespan.as_f64();
     assert!(
